@@ -4,8 +4,8 @@ One verb per calculator: ``table dump``, ``jinv enumerate|check``,
 ``ring j-from-gens``, ``motive rost-poincare|decompose|candim|
 torsion-bound|integral``, ``flag poincare`` and ``lift idempotent|
 family|izvrat|sl``.  Every verb prints human-readable text by default
-and exactly one JSON document with ``--json`` (or with the environment
-variable JCALC_OUTPUT=json, read once at startup).
+and exactly one JSON document with ``--json`` after the verb (or with
+the environment variable JCALC_OUTPUT=json, read once at startup).
 
 Exit status: 0 success, 1 domain error, 2 usage error.
 """
@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import JCalcError, ParseError
@@ -31,7 +31,7 @@ from .idempotent_lab import (
     sl_lift,
 )
 from .jinvariant import JInvariant, enumerate_admissible, is_admissible
-from .kac_table import TorsionData, expand_table, parse_form
+from .kac_table import TorsionData, constraint_rules, expand_table, parse_form, table_rows
 from .motive import (
     canonical_p_dimension,
     decompose,
@@ -95,25 +95,17 @@ def _pfister(value: Optional[str]) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def _cmd_table_dump(args) -> Tuple[object, List[str]]:
-    rows = list(expand_table(args.max_rank))
-    if args.form:
-        name = parse_form(args.form).name
-        rows = [r for r in rows if r["form"] == name]
-    if args.p:
-        rows = [r for r in rows if r["p"] == args.p]
-    lines = []
-    for r in rows:
-        rules = "; ".join(str(rule) for rule in _rules_back(r["rules"])) or "-"
+    name = parse_form(args.form).name if args.form else None
+    rows, lines = [], []
+    # expand_table walks table_rows in the same order, one dict per row
+    for (form, p), r in zip(table_rows(args.max_rank), expand_table(args.max_rank)):
+        if (name and form.name != name) or (args.p and p != args.p):
+            continue
+        rules = "; ".join(str(rule) for rule in constraint_rules(form, p)) or "-"
+        rows.append(r)
         lines.append("%-12s p=%d  r=%d  d=%s  k=%s  rules: %s"
-                     % (r["form"], r["p"], r["r"], r["d"], r["k"], rules))
+                     % (r["form"], p, r["r"], r["d"], r["k"], rules))
     return rows, lines
-
-
-def _rules_back(rule_dicts: Sequence[Dict]) -> List:
-    from .kac_table import ConstraintRule
-    return [ConstraintRule(d["kind"], d["i"], d["j"], d["offset"],
-                           tuple(d["gate"]) if d["gate"] else None)
-            for d in rule_dicts]
 
 
 def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
@@ -282,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jcalc",
         description="Exact J-invariant and motivic decomposition calculators.")
     parser.add_argument("--version", action="version", version="jcalc %s" % __version__)
-    parser.add_argument("--json", action="store_true",
-                        help="emit exactly one JSON document")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit exactly one JSON document")

@@ -25,41 +25,17 @@ from .errors import (
     NotAlmostIdempotent,
     ParseError,
 )
+from .integers import factorize, int_det, prime_power
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def _prime_power(m: int) -> Optional[Tuple[int, int]]:
-    """(p, n) if m = p^n for a prime p, else None."""
-    if m < 2:
-        return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        return (m, 1)
-    n, rest = 0, m
-    while rest % p == 0:
-        rest //= p
-        n += 1
-    return (p, n) if rest == 1 else None
-
-
-def _factorize(m: int) -> List[Tuple[int, int]]:
-    out, f = [], 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
-        f += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
+def _require_prime_power(m: int) -> Tuple[int, int]:
+    """(p, n) with m = p^n; ValueError when m is not a prime power."""
+    pp = prime_power(m)
+    if pp is None:
+        raise ValueError("modulus %d is not a prime power" % m)
+    return pp
 
 
 @dataclass(frozen=True)
@@ -147,23 +123,7 @@ class ModMatrix:
 
     def det(self) -> int:
         """Determinant mod modulus, by exact integer expansion."""
-        n = self.size
-        rows = [list(r) for r in self.entries]
-        # fraction-free Gaussian elimination over Z (Bareiss)
-        sign, prev = 1, 1
-        for c in range(n - 1):
-            pivot_row = next((r for r in range(c, n) if rows[r][c]), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                sign = -sign
-            for r in range(c + 1, n):
-                for cc in range(c + 1, n):
-                    rows[r][cc] = (rows[r][cc] * rows[c][c] - rows[r][c] * rows[c][cc]) // prev
-                rows[r][c] = 0
-            prev = rows[c][c]
-        return (sign * rows[n - 1][n - 1]) % self.modulus
+        return int_det(self.entries) % self.modulus
 
     # -- text format --------------------------------------------------------
 
@@ -237,30 +197,36 @@ class GradedEndo:
 # Idempotent lifting
 # ---------------------------------------------------------------------------
 
-def lift_idempotent(a: ModMatrix) -> ModMatrix:
-    """Lift an idempotent mod p to an exact idempotent over Z/p^n.
+def _idempotent_iteration(e: ModMatrix, n: int) -> ModMatrix:
+    """Iterate e <- 3e^2 - 2e^3 over Z/p^n until e is idempotent.
 
-    Uses the polynomial iteration e <- 3e^2 - 2e^3, which fixes e mod p
-    and squares the nilpotency order of e^2 - e at each step, so at most
-    ceil(log2 n) + 1 rounds are needed.  No division occurs, so the
-    construction is valid for every prime including 2.
+    The iteration fixes e mod p and squares the nilpotency order of
+    e^2 - e at each step, so at most ceil(log2 n) + 1 rounds are needed.
+    It has no constant term, so it stays inside any corner ring u A u
+    that contains e.
     """
-    pp = _prime_power(a.modulus)
-    if pp is None:
-        raise ValueError("modulus %d is not a prime power" % a.modulus)
-    p, n = pp
-    reduced = a.reduce(p)
-    if not reduced.is_idempotent:
-        raise NotAlmostIdempotent("matrix is not idempotent mod %d" % p)
-    e = a
-    rounds = max(1, n).bit_length() + 1
-    for _ in range(rounds):
-        if e.is_idempotent:
-            break
+    for _ in range(max(1, n).bit_length() + 1):
         e2 = e * e
+        if e2 == e:
+            return e
         e = 3 * e2 - 2 * (e2 * e)
     if not e.is_idempotent:
         raise InternalInconsistency("idempotent iteration failed to converge")
+    return e
+
+
+def lift_idempotent(a: ModMatrix) -> ModMatrix:
+    """Lift an idempotent mod p to an exact idempotent over Z/p^n.
+
+    Uses the polynomial iteration e <- 3e^2 - 2e^3 (see
+    _idempotent_iteration).  No division occurs, so the construction is
+    valid for every prime including 2.
+    """
+    p, n = _require_prime_power(a.modulus)
+    reduced = a.reduce(p)
+    if not reduced.is_idempotent:
+        raise NotAlmostIdempotent("matrix is not idempotent mod %d" % p)
+    e = _idempotent_iteration(a, n)
     if e.reduce(p) != reduced:
         raise InternalInconsistency("lift does not reduce to the input mod p")
     return e
@@ -283,10 +249,7 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
         raise NotAFamily("empty family")
     mod = family[0].modulus
     size = family[0].size
-    pp = _prime_power(mod)
-    if pp is None:
-        raise ValueError("modulus %d is not a prime power" % mod)
-    p, _n = pp
+    p, n = _require_prime_power(mod)
     if any(f.modulus != mod or f.size != size for f in family):
         raise NotAFamily("family members have mismatched shape or modulus")
     reductions = [f.reduce(p) for f in family]
@@ -307,24 +270,10 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
         # unit is the idempotent unit of the current corner ring.
         if len(members) == 1:
             return [unit]
-        e = lift_idempotent_in_corner(members[0], unit)
+        e = _idempotent_iteration(_corner(unit, members[0]), n)
         rest_unit = unit - e
         rest = [_corner(rest_unit, x) for x in members[1:]]
         return [e] + rec(rest, rest_unit)
-
-    def lift_idempotent_in_corner(x: ModMatrix, unit: ModMatrix) -> ModMatrix:
-        # The iteration 3e^2 - 2e^3 has no constant term, so it stays in
-        # the corner; convergence is as in lift_idempotent.
-        e = _corner(unit, x)
-        _p, n = pp
-        for _ in range(max(1, n).bit_length() + 1):
-            if e * e == e:
-                return e
-            e2 = e * e
-            e = 3 * e2 - 2 * (e2 * e)
-        if e * e != e:
-            raise InternalInconsistency("corner idempotent iteration diverged")
-        return e
 
     lifted = rec(list(family), ident)
     # verify the advertised exact identities before returning
@@ -376,10 +325,7 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
     theta21 theta12 = phi1 and theta12 theta21 = phi2 exactly.
     """
     mod = phi1.modulus
-    pp = _prime_power(mod)
-    if pp is None:
-        raise ValueError("modulus %d is not a prime power" % mod)
-    p, n_exp = pp
+    p, n_exp = _require_prime_power(mod)
     size = phi1.size
     for m in (phi2, psi12, psi21):
         if m.modulus != mod or m.size != size:
@@ -453,7 +399,7 @@ class CrtSplitting:
     def of(cls, m: int) -> "CrtSplitting":
         if m < 2:
             raise ValueError("modulus must be at least 2")
-        return cls(m, tuple(_factorize(m)))
+        return cls(m, tuple(factorize(m)))
 
     @property
     def prime_power_moduli(self) -> Tuple[int, ...]:
@@ -529,7 +475,8 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
         work[i] = [(x + a * y) % m for x, y in zip(work[i], work[j])]
         ops.append((i, j, a))
 
-    primes = [p for p, _e in _factorize(m)]
+    factors = factorize(m)
+    primes = [p for p, _e in factors]
 
     def make_pivot_unit(c: int) -> None:
         # choose, for each prime where the pivot vanishes, a row below
@@ -544,7 +491,7 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
                 needed[p] = row
         for row in set(needed.values()):
             coeff = _crt([1 if needed.get(p) == row else 0 for p in primes],
-                         [p ** e for p, e in _factorize(m)])
+                         [p ** e for p, e in factors])
             apply(c, row, coeff)
 
     def make_pivot_one(c: int) -> None:
@@ -588,28 +535,9 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
     out = tuple(tuple(x for x in row) for row in lifted)
     if ModMatrix(m, out) != matrix:
         raise InternalInconsistency("integer lift has the wrong reduction")
-    if _int_det(out) != 1:
+    if int_det(out) != 1:
         raise InternalInconsistency("integer lift does not have determinant 1")
     return out
-
-
-def _int_det(rows: IntMatrix) -> int:
-    n = len(rows)
-    work = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        pivot = next((r for r in range(c, n) if work[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for cc in range(c + 1, n):
-                work[r][cc] = (work[r][cc] * work[c][c] - work[r][c] * work[c][cc]) // prev
-            work[r][c] = 0
-        prev = work[c][c]
-    return sign * work[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +547,7 @@ def _int_det(rows: IntMatrix) -> int:
 def _prime_power_inverse(matrix: ModMatrix) -> ModMatrix:
     """Gauss-Jordan over Z/p^e, where units are exactly non-residues of p."""
     n, mod = matrix.size, matrix.modulus
-    p = _prime_power(mod)[0]
+    p = prime_power(mod)[0]
     work = [list(row) + [1 if i == j else 0 for j in range(n)]
             for i, row in enumerate(matrix.entries)]
     for c in range(n):
@@ -638,7 +566,7 @@ def _prime_power_inverse(matrix: ModMatrix) -> ModMatrix:
 
 def mod_inverse(matrix: ModMatrix) -> ModMatrix:
     """Inverse over Z/m, via the prime-power factors and CRT transport."""
-    if _prime_power(matrix.modulus) is not None:
+    if prime_power(matrix.modulus) is not None:
         return _prime_power_inverse(matrix)
     splitting = CrtSplitting.of(matrix.modulus)
     return splitting.combine([_prime_power_inverse(part)
@@ -670,10 +598,7 @@ def random_idempotent_family(rng, modulus: int, size: int, parts: int,
     The perturbation vanishes mod p, so the family still satisfies the
     lifting hypotheses without being exactly idempotent.
     """
-    pp = _prime_power(modulus)
-    if pp is None:
-        raise ValueError("modulus %d is not a prime power" % modulus)
-    p, _n = pp
+    p, _n = _require_prime_power(modulus)
     cuts = sorted(rng.sample(range(1, size), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [size]
     u = random_unimodular(rng, modulus, size)
@@ -694,10 +619,7 @@ def random_isomorphism_instance(rng, modulus: int, size: int):
     each other exactly, then psi12 is perturbed inside p M_l(Z/p^n) so
     the hypotheses only survive mod p.
     """
-    pp = _prime_power(modulus)
-    if pp is None:
-        raise ValueError("modulus %d is not a prime power" % modulus)
-    p, _n = pp
+    p, _n = _require_prime_power(modulus)
     rank = rng.randrange(1, size)
     diag = _part_diagonal(modulus, size, 0, rank)
     g, h = random_unimodular(rng, modulus, size), random_unimodular(rng, modulus, size)

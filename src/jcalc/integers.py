@@ -1,0 +1,75 @@
+"""Integer primitives shared by the table, the motive and the matrix code.
+
+Trial-division factorization, primality, prime-power detection, p-adic
+valuation and the fraction-free (Bareiss) determinant over Z.  Inputs
+are desk-scale, so trial division is enough; nothing here imports a
+dependency or does work at import time.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+
+def factorize(n: int) -> List[Tuple[int, int]]:
+    """Prime factorization [(p, e), ...] with p increasing; [] for n < 2."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def prime_power(m: int) -> Optional[Tuple[int, int]]:
+    """(p, n) if m = p^n for a prime p and n >= 1, else None."""
+    factors = factorize(m)
+    return factors[0] if len(factors) == 1 else None
+
+
+def padic_valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("the p-adic valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant over Z by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(rows)
+    work = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if work[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            for cc in range(c + 1, n):
+                work[r][cc] = (work[r][cc] * work[c][c] - work[r][c] * work[c][cc]) // prev
+            work[r][c] = 0
+        prev = work[c][c]
+    return sign * work[n - 1][n - 1]

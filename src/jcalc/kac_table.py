@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, UnsupportedForm
+from .integers import factorize, is_prime, padic_valuation
 from .root_data import DynkinType
 
 # isogeny tags, normalized per series:
@@ -184,17 +185,6 @@ def parse_form(text: str) -> GroupForm:
 # Torsion data
 # ---------------------------------------------------------------------------
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class TorsionData:
     """The numbers (p; d_1..d_r; k_1..k_r) of one table row.
@@ -211,7 +201,7 @@ class TorsionData:
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "k", tuple(self.k))
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError("p = %r is not prime" % (self.p,))
         if len(self.d) != len(self.k):
             raise ValueError("d and k must have equal length")
@@ -282,14 +272,6 @@ def _le(i: int, j: int, offset: int = 1) -> ConstraintRule:
     return ConstraintRule("le", i, j, offset)
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[ConstraintRule, ...]]
 
 
@@ -347,7 +329,7 @@ def _pgo_row(n: int) -> Row:
     # generator on, and the codimension-1 generator drops out when n is odd.
     r = (n + 2) // 2
     d = [1] + [2 * i - 3 for i in range(2, r + 1)]
-    k = [_padic_valuation(n, 2)] + \
+    k = [padic_valuation(n, 2)] + \
         [_log2_floor((2 * n - 1) // (2 * i - 3)) for i in range(2, r + 1)]
     return _drop_trivial_generators(d, k, _chain_rules(-2, 2, r, lambda i: 2 * i - 2))
 
@@ -356,7 +338,7 @@ def _halfspin_row(n: int) -> Row:
     # Spin^{+/-}_{2n} with n even.
     r = n // 2
     d = [1] + [2 * i - 1 for i in range(2, r + 1)]
-    k = [_padic_valuation(n, 2)] + \
+    k = [padic_valuation(n, 2)] + \
         [_log2_floor((2 * n - 1) // (2 * i - 1)) for i in range(2, r + 1)]
     return _drop_trivial_generators(d, k, _chain_rules(-1, 1, r, lambda i: 2 * i - 1))
 
@@ -410,14 +392,14 @@ def _row(form: GroupForm, p: int) -> Optional[Row]:
         if form.mu % p != 0:
             return None
         n = rank + 1
-        k1 = _padic_valuation(n, p)
+        k1 = padic_valuation(n, p)
         if k1 == 0:
             raise InternalInconsistency("p | mu | n forces a positive valuation")
         return ((1,), (k1,), ())
     if s == "C":
         if form.isogeny != "pgsp" or p != 2:
             return None
-        return ((1,), (_padic_valuation(2 * rank, 2),), ())
+        return ((1,), (padic_valuation(2 * rank, 2),), ())
     if s in ("B", "D"):
         if p != 2:
             return None
@@ -458,29 +440,15 @@ def torsion_primes(form: GroupForm) -> List[int]:
         raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
     candidates = [2, 3, 5]
     if form.base.series == "A":
-        candidates = _prime_factors(form.mu)
+        candidates = [p for p, _e in factorize(form.mu)]
     return [p for p in candidates if _row(form, p) is not None]
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def torsion_data(form: GroupForm, p: int) -> TorsionData:
     """The (r, d, k) data of the (form, p) table row; r = 0 off-table."""
     if not isinstance(form, GroupForm):
         raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
     row = _row(form, p)
     if row is None:

@@ -30,6 +30,7 @@ from .errors import (
     NotGenericallySplit,
     SearchBudgetExceeded,
 )
+from .integers import factorize
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
 from .polynomial import Poly
@@ -173,26 +174,14 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
 # Integral lifting via m-positive polynomials
 # ---------------------------------------------------------------------------
 
-def _prime_divisors(m: int) -> List[int]:
-    out, f = [], 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
     table = {p: poly for p, poly in summands}
-    missing = [p for p in _prime_divisors(m) if p not in table]
+    primes = [p for p, _e in factorize(m)]
+    missing = [p for p in primes if p not in table]
     if missing:
         raise MissingPrime("no summand polynomial for primes %s dividing %d"
                            % (missing, m))
-    return {p: table[p] for p in _prime_divisors(m)}
+    return {p: table[p] for p in primes}
 
 
 def is_m_positive(g: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:

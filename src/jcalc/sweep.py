@@ -7,16 +7,16 @@ variety is generically split for Tits data consistent with that value.
 For each such triple the flag Poincare polynomial must factor exactly
 through the summand polynomial with nonnegative multiplicities.
 
-Consistency matters: the splitting certificates of the vertex table
-depend on the Tits algebra index d and the splitting degree q, and those
-are coupled to the J-invariant.  A group whose row carries a
-codimension-1 generator coupled to its Tits algebra (SL/mu, PGSp, PGO,
-adjoint E6 at 3, adjoint E7 at 2) has d with p-part p^{j_1}, so
-pretending d = 1 while j_1 > 0 pairs the value with parabolics it can
-never meet; such pairs are exactly the ones the decomposition calculator
-reports as NotDivisible.  The complete flag (empty theta) is certified
-for every value: a group of inner type splits over the function field of
-its Borel variety.
+The split parabolics come from the one vertex table,
+root_data.is_generically_split, evaluated at Tits data (d, q, pfister)
+consistent with J.  Consistency matters because d and q are coupled to
+the value: a row whose codimension-1 generator is coupled to the Tits
+algebra (SL/mu, PGO_2n with n even, adjoint E6 at 3, adjoint E7 at 2)
+has d = p^{j_1}, so pretending d = 1 while j_1 > 0 pairs the value with
+parabolics it can never meet; such pairs are exactly the ones the
+decomposition calculator reports as NotDivisible.  The complete flag
+(empty theta) is certified for every value: a group of inner type splits
+over the function field of its Borel variety.
 
 Distinct parabolics with the same Levi polynomial, and distinct values
 with the same summand polynomial, are deduplicated before dividing.
@@ -60,63 +60,41 @@ def _is_power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
 
 
+def _consistent_tits_data(form: GroupForm, p: int,
+                          j: Sequence[int]) -> Tuple[int, int, bool]:
+    """Tits data (d, q, pfister) of a group realizing the value j at p.
+
+    d = p^{j_1} exactly when the row's codimension-1 generator is coupled
+    to the Tits algebra (SL/mu, PGO_2n with n even, adjoint E6 at 3,
+    adjoint E7 at 2), else d = 1; q = p; and the form counts as Pfister
+    (or a maximal neighbor) when it is SO/Spin of dimension 2^m or
+    2^m - 1 and the value is (0, ..., 0, 1).
+    """
+    s, n, iso = form.base.series, form.base.rank, form.isogeny
+    coupled = (s == "A" or (iso == "pgo" and n % 2 == 0)
+               or (s, n, iso, p) in (("E", 6, "ad", 3), ("E", 7, "ad", 2)))
+    pfister = (iso in ("so", "spin") and not any(j[:-1]) and j[-1] == 1
+               and (_is_power_of_two(form.quadratic_dimension)
+                    or _is_power_of_two(form.quadratic_dimension + 1)))
+    return (p ** j[0] if coupled else 1), p, pfister
+
+
 def consistent_split_vertices(form: GroupForm, p: int,
                               j: Sequence[int]) -> Set[int]:
     """Vertices k for which some group realizing (p, j) splits over F(X)
     whenever k lies outside theta.
 
-    This instantiates the vertex table at Tits data compatible with the
-    J-invariant value instead of a fixed (d, q):
-
-    * series A: d has p-part p^{j_1}, so k must be coprime to p;
-    * series C: odd k, unconditionally;
-    * series B/D: the quadratic-form case d = 1 certifies the end
-      vertices; a Pfister form or maximal neighbor (dimension 2^m or
-      2^m - 1 with value (0,...,0,1)) certifies every vertex; the PGO
-      rows couple j_1 to the vector algebra class, so their end-vertex
-      certificate needs j_1 = 0;
-    * exceptional series: the d = 1 and small-q escapes are enabled
-      exactly when a group with this value can have them (the Tits
-      algebras of E6/E7 live at the other prime, q = 3 or 5 escapes are
-      consistent at their own prime only).
-
-    For the zero value every vertex qualifies: the group may be split.
+    The vertex table is_generically_split evaluated at the Tits data
+    consistent with the value (see _consistent_tits_data), one vertex at
+    a time.  For the zero value every vertex qualifies: the group may be
+    split.
     """
-    s, n = form.base.series, form.base.rank
-    everything = set(range(1, n + 1))
+    everything = set(form.base.vertices)
     if not any(j):
         return everything
-    if s == "A":
-        return {k for k in everything if k % p != 0}
-    if s == "C":
-        return {k for k in everything if k % 2 == 1}
-    if s == "G":
-        return everything
-    if s == "F":
-        return everything if p == 3 else {1, 2, 3}
-    if s == "E" and n == 6:
-        if p == 2:
-            return {2, 3, 4, 5}
-        if form.isogeny == "ad" and j[0] > 0:
-            return {1, 3, 5, 6}
-        return everything
-    if s == "E" and n == 7:
-        if p == 3:
-            return {1, 2, 3, 4, 5, 6}
-        if form.isogeny == "ad" and j[0] > 0:
-            return {2, 5}
-        return {2, 3, 4, 5}
-    if s == "E" and n == 8:
-        return everything if p == 5 else {2, 3, 4, 5}
-    dim = 2 * n + 1 if s == "B" else 2 * n
-    pfister_shape = (all(x == 0 for x in j[:-1]) and j[-1] == 1
-                     and form.isogeny in ("so", "spin")
-                     and (_is_power_of_two(dim) or _is_power_of_two(dim + 1)))
-    if pfister_shape:
-        return everything
-    if form.isogeny == "pgo" and n % 2 == 0 and j[0] > 0:
-        return set()
-    return {n} if s == "B" else {n - 1, n}
+    d, q, pfister = _consistent_tits_data(form, p, j)
+    return {k for k in everything
+            if is_generically_split(form, everything - {k}, d, q, pfister)}
 
 
 def consistent_split_thetas(form: GroupForm, p: int,

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 from jcalc.cli import build_parser, execute
 from jcalc.jinvariant import enumerate_admissible
@@ -23,6 +24,11 @@ class TestExitCodes:
     def test_unknown_verb_is_usage_error(self, capsys):
         status, _out, _err = run(capsys, "frobnicate")
         assert status == 2
+
+    def test_json_before_the_verb_is_usage_error(self, capsys):
+        status, out, _err = run(capsys, "--json", "lift", "crt", "--m", "12")
+        assert status == 2
+        assert out == ""
 
     def test_missing_required_option(self, capsys):
         status, _out, _err = run(capsys, "jinv", "enumerate", "--form", "E8")
@@ -153,3 +159,19 @@ class TestOutputModes:
 
 def test_parser_builds():
     assert build_parser().prog == "jcalc"
+
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"
+
+
+def test_recorded_corpus_replays_byte_identically(capsys, monkeypatch):
+    """Output recorded by scripts/record_cli_corpus.py must not drift."""
+    monkeypatch.delenv("JCALC_OUTPUT", raising=False)
+    corpus = json.loads(CORPUS.read_text())
+    drift = []
+    for entry in corpus:
+        status, out, _err = run(capsys, *entry["argv"])
+        if (status, out) != (entry["status"], entry["stdout"]):
+            drift.append(" ".join(entry["argv"]))
+    assert len(corpus) == 88
+    assert drift == []

@@ -1,0 +1,66 @@
+"""The shared integer primitives against brute force."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from jcalc.idempotent_lab import ModMatrix
+from jcalc.integers import factorize, int_det, is_prime, padic_valuation, prime_power
+
+from test_acceptance import _int_determinant
+
+
+def brute_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, n))
+
+
+@given(st.integers(min_value=-5, max_value=5000))
+def test_primality(n):
+    assert is_prime(n) == brute_is_prime(n)
+
+
+@given(st.integers(min_value=-5, max_value=100000))
+def test_factorization(n):
+    factors = factorize(n)
+    primes = [p for p, _e in factors]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and e >= 1 for p, e in factors)
+    product = 1
+    for p, e in factors:
+        product *= p ** e
+    assert product == (n if n >= 2 else 1)
+
+
+@given(st.integers(min_value=-5, max_value=5000))
+def test_prime_power(m):
+    prime_divisors = [p for p in range(2, m + 1) if m % p == 0 and brute_is_prime(p)]
+    expected = None
+    if len(prime_divisors) == 1:
+        p, e = prime_divisors[0], 1
+        while p ** e < m:
+            e += 1
+        expected = (p, e)
+    assert prime_power(m) == expected
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6),
+       st.sampled_from([2, 3, 5, 7, 11]))
+def test_padic_valuation(n, p):
+    v = padic_valuation(n, p)
+    assert n % p ** v == 0 and n % p ** (v + 1) != 0
+    assert padic_valuation(-n, p) == v
+
+
+def test_padic_valuation_of_zero_is_rejected():
+    with pytest.raises(ValueError):
+        padic_valuation(0, 2)
+
+
+square = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(square, st.integers(min_value=2, max_value=60))
+def test_det_against_cofactor_expansion(rows, m):
+    assert int_det(rows) == _int_determinant(rows)
+    assert ModMatrix(m, rows).det() == _int_determinant(rows) % m
