@@ -28,6 +28,7 @@ from .idempotent_lab import (
     lift_isomorphism,
     lift_orthogonal_family,
     random_isomorphism_instance,
+    random_unimodular,
     sl_lift,
 )
 from .jinvariant import JInvariant, enumerate_admissible, is_admissible
@@ -230,14 +231,7 @@ def _cmd_lift_izvrat(args) -> Tuple[object, List[str]]:
 
 def _cmd_lift_sl(args) -> Tuple[object, List[str]]:
     if args.demo:
-        rng = random.Random(args.seed)
-        while True:
-            cand = ModMatrix(args.modulus, tuple(
-                tuple(rng.randrange(args.modulus) for _ in range(args.size))
-                for _ in range(args.size)))
-            if cand.det() == 1 % args.modulus:
-                break
-        matrix = cand
+        matrix = random_unimodular(random.Random(args.seed), args.modulus, args.size)
     else:
         matrix = _matrix_from_args(args)
     lifted = sl_lift(matrix)

@@ -298,17 +298,6 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
 # Isomorphism lifting
 # ---------------------------------------------------------------------------
 
-def _nilpotency_order(a: ModMatrix, cap: int) -> int:
-    """Smallest n with a^n = 0, found by direct powering up to cap."""
-    zero = ModMatrix.zero(a.modulus, a.size)
-    power = ModMatrix.identity(a.modulus, a.size)
-    for n in range(1, cap + 1):
-        power = power * a
-        if power == zero:
-            return n
-    raise HypothesisViolated("matrix is not nilpotent within %d steps" % cap)
-
-
 def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
                      psi12: ModMatrix, psi21: ModMatrix) -> Tuple[ModMatrix, ModMatrix]:
     """Upgrade a mod-p isomorphism between exact idempotents to an exact one.
@@ -320,9 +309,9 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
         theta12 = phi2 psi12 phi1,
         theta21 = (phi1 psi21 phi2) alpha*,
 
-    where alpha = theta12 (phi1 psi21 phi2) - phi2 is nilpotent and
-    alpha* = phi2 - alpha + alpha^2 - ... - (-alpha)^{n-1}, satisfy
-    theta21 theta12 = phi1 and theta12 theta21 = phi2 exactly.
+    where alpha = theta12 (phi1 psi21 phi2) - phi2 vanishes mod p, so
+    alpha^n = 0, and alpha* = phi2 (1 - alpha + ... + (-alpha)^{n-1}),
+    satisfy theta21 theta12 = phi1 and theta12 theta21 = phi2 exactly.
     """
     mod = phi1.modulus
     p, n_exp = _require_prime_power(mod)
@@ -344,11 +333,10 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
     alpha = theta12 * pre21 - phi2
     if alpha.reduce(p) != ModMatrix.zero(p, size):
         raise HypothesisViolated("alpha does not vanish mod %d" % p)
-    order = _nilpotency_order(alpha, cap=size * n_exp) if alpha != ModMatrix.zero(mod, size) else 1
     alpha_star = phi2
     power = phi2
     sign = -1
-    for _ in range(1, order):
+    for _ in range(1, n_exp):
         power = power * alpha
         alpha_star = alpha_star + sign * power
         sign = -sign

@@ -72,4 +72,4 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
                 work[r][cc] = (work[r][cc] * work[c][c] - work[r][c] * work[c][cc]) // prev
             work[r][c] = 0
         prev = work[c][c]
-    return sign * work[n - 1][n - 1]
+    return sign * work[n - 1][n - 1] if n else 1

@@ -119,6 +119,7 @@ class RingElement:
 
     def __init__(self, data: TorsionData, terms: Optional[Mapping[Monomial, int]] = None):
         self.data = data
+        caps = data.caps
         clean: Dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
             mono = tuple(mono)
@@ -126,7 +127,7 @@ class RingElement:
                 raise ContextMismatch("monomial %r in context r = %d" % (mono, data.r))
             if any(m < 0 for m in mono):
                 raise ValueError("negative exponent in %r" % (mono,))
-            if any(m >= cap for m, cap in zip(mono, data.caps)):
+            if any(m >= cap for m, cap in zip(mono, caps)):
                 continue  # at or beyond truncation: zero
             c %= data.p
             if c:
@@ -331,11 +332,13 @@ def subring_closure(gens: Sequence[RingElement],
                     data: Optional[TorsionData] = None) -> List[RingElement]:
     """Basis of the smallest unital subring containing the generators.
 
-    Seeds the span with 1 and the generators, then repeatedly adjoins
-    pairwise products, Gaussian-eliminating over F_p keyed by the
-    DegLex leading monomial until the dimension stabilizes.  The ring is
-    finite, so this terminates.  Basis vectors are monic with pairwise
-    distinct leading monomials, returned in descending DegLex order.
+    Grows span{1} by V <- V + sum_i g_i V: every new basis vector is
+    multiplied by each generator once, and each product is
+    Gaussian-eliminated over F_p, keyed by the DegLex leading monomial.
+    The final span contains 1 and is closed under multiplication by
+    every g_i, so it is the subring; the ring is finite, so this
+    terminates.  Basis vectors are monic with pairwise distinct leading
+    monomials, returned in descending DegLex order.
     """
     if data is None:
         if not gens:
@@ -357,17 +360,12 @@ def subring_closure(gens: Sequence[RingElement],
         pivots[lead] = monic
         return monic
 
-    frontier = [e for e in (insert(RingElement.one(data)),) if e is not None]
-    for g in gens:
-        added = insert(g)
-        if added is not None:
-            frontier.append(added)
+    frontier = [insert(RingElement.one(data))]
     while frontier:
-        basis_now = list(pivots.values())
         fresh: List[RingElement] = []
         for a in frontier:
-            for b in basis_now:
-                added = insert(a * b)
+            for g in gens:
+                added = insert(a * g)
                 if added is not None:
                     fresh.append(added)
         frontier = fresh

@@ -240,9 +240,11 @@ class _DenseRingOracle:
         return work[:rank]
 
     def _product(self, u, v):
-        out = np.zeros(self.dim + 1, dtype=np.int64)
-        np.add.at(out, self.mult, np.outer(u, v))
-        return out[:self.dim] % self.data.p
+        out = np.bincount(self.mult.ravel(), weights=np.outer(u, v).ravel(),
+                          minlength=self.dim + 1)
+        # float64 sums of integers stay exact while every partial sum is below 2^53
+        assert (out == np.floor(out)).all()
+        return out[:self.dim].astype(np.int64) % self.data.p
 
     def closure(self, gens):
         one = np.zeros(self.dim, dtype=np.int64)

@@ -1,6 +1,10 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import jcalc
 from jcalc.cli import build_parser, execute
 from jcalc.jinvariant import enumerate_admissible
 from jcalc.kac_table import expand_table, parse_form
@@ -116,6 +120,21 @@ class TestRoundTrips:
         second = run_json(capsys, "lift", "sl", "--demo", "--seed", "5",
                           "--modulus", "12", "--size", "3")
         assert first == second
+
+    def test_lift_sl_demo_large_modulus(self):
+        # A demo matrix drawn entry by entry until det = 1 takes about m
+        # draws; the process must finish well inside the timeout.
+        m = 1000000007
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jcalc.cli", "lift", "sl", "--demo",
+             "--modulus", str(m), "--size", "2", "--json"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        (a, b), (c, d) = payload["lift"]
+        assert a * d - b * c == 1
+        assert [[x % m for x in row] for row in payload["lift"]] == payload["input"]
 
     def test_lift_izvrat_demo(self, capsys):
         payload = run_json(capsys, "lift", "izvrat", "--demo", "--seed", "1",

@@ -64,3 +64,8 @@ square = st.integers(min_value=1, max_value=3).flatmap(
 def test_det_against_cofactor_expansion(rows, m):
     assert int_det(rows) == _int_determinant(rows)
     assert ModMatrix(m, rows).det() == _int_determinant(rows) % m
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert int_det([]) == 1
+    assert ModMatrix.zero(7, 0).det() == 1

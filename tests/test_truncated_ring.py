@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jcalc.errors import ContextMismatch, LengthMismatch, ParseError
 from jcalc.kac_table import TorsionData
@@ -23,6 +23,7 @@ D35 = TorsionData(2, (3, 5), (2, 1))
 D11 = TorsionData(2, (1, 1), (2, 2))
 F2X4 = TorsionData(2, (1,), (2,))       # (Z/2)[x]/(x^4)
 F2PAIR = TorsionData(2, (3, 5), (1, 1))  # (Z/2)[x1,x2]/(x1^2,x2^2)
+R256 = TorsionData(2, (1, 3), (4, 4))
 
 
 class TestLucas:
@@ -184,6 +185,80 @@ class TestSubringClosure:
         keys = [deglex_key(e.leading_monomial(), D11) for e in basis]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+def _reduce(elem, pivots):
+    """Eliminate leading monomials against monic pivots keyed by their leads."""
+    while True:
+        lead = elem.leading_monomial()
+        if lead is None or lead not in pivots:
+            return elem
+        elem = elem - pivots[lead].scale(elem.leading_coefficient())
+
+
+def _closure_by_basis_products(gens, data):
+    """Oracle: the subring closure that multiplies the frontier by the whole basis.
+
+    Seeds the span with 1 and the generators, then adjoins the product of
+    every new basis vector with every basis vector until nothing new
+    appears.  Returns the pivots keyed by leading monomial.
+    """
+    p = data.p
+    pivots = {}
+
+    def insert(elem):
+        elem = _reduce(elem, pivots)
+        lead = elem.leading_monomial()
+        if lead is None:
+            return None
+        pivots[lead] = elem.scale(pow(elem.leading_coefficient(), p - 2, p))
+        return pivots[lead]
+
+    frontier = [insert(RingElement.one(data))]
+    frontier += [e for e in map(insert, gens) if e is not None]
+    while frontier:
+        basis_now = list(pivots.values())
+        fresh = []
+        for a in frontier:
+            for b in basis_now:
+                added = insert(a * b)
+                if added is not None:
+                    fresh.append(added)
+        frontier = fresh
+    return pivots
+
+
+# Small rings take dense generators; the rings of rank >= 256 take
+# binomials, which keeps the oracle's basis-times-basis products affordable.
+DIFFERENTIAL_CONTEXTS = [
+    (D11, 6),                                   # rank 16
+    (TorsionData(3, (1, 4), (1, 2)), 4),        # rank 27
+    (R256, 2),                                  # rank 256
+    (TorsionData(2, (1, 1, 3), (3, 3, 2)), 2),  # rank 256
+    (TorsionData(3, (1, 2, 4), (2, 2, 2)), 2),  # rank 729
+]
+
+
+@st.composite
+def closure_cases(draw):
+    data, max_terms = draw(st.sampled_from(DIFFERENTIAL_CONTEXTS))
+    monomial = st.tuples(*[st.integers(0, cap - 1) for cap in data.caps])
+    element = st.dictionaries(monomial, st.integers(1, data.p - 1),
+                              min_size=1, max_size=max_terms)
+    return data, [RingElement(data, terms) for terms in draw(st.lists(element, max_size=3))]
+
+
+class TestClosureAgainstBasisProducts:
+    @given(closure_cases())
+    @example((R256, [RingElement.generator(R256, 1), RingElement.generator(R256, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_span(self, case):
+        data, gens = case
+        old = _closure_by_basis_products(gens, data)
+        new = subring_closure(gens, data)
+        assert len(new) == len(old)
+        assert {e.leading_monomial() for e in new} == set(old)
+        assert all(_reduce(e, old).is_zero for e in new)
 
 
 class TestJFromSubring:
