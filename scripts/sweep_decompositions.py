@@ -27,14 +27,14 @@ def main() -> int:
 
     print("rows checked:        %d" % report.rows)
     print("(J, theta) cases:    %d" % report.cases)
-    print("distinct divisions:  %d" % report.divisions)
+    print("distinct checks:     %d" % report.divisions)
     print("elapsed:             %.2f s" % elapsed)
     if report.failures:
         print("FAILURES: %d" % len(report.failures))
         for form, p, j, theta, reason in report.failures:
             print("  %s p=%d J=%s theta=%s: %s" % (form, p, j, theta, reason))
         return 1
-    print("all divisions exact with nonnegative multiplicities")
+    print("every summand divides with nonnegative multiplicities")
     return 0
 
 

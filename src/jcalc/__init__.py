@@ -89,7 +89,6 @@ from .sweep import (
     admissible_census,
     consistent_split_thetas,
     consistent_split_vertices,
-    generically_split_thetas,
     run_divisibility_sweep,
 )
 from .truncated_ring import (

@@ -500,9 +500,9 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
         for r in range(size):
             if r != c and work[r][c] % m:
                 apply(r, c, -work[r][c])
-    # the trailing pivot is forced to 1 by the determinant
+    # the trailing pivot, if any, is forced to 1 by the determinant
     last = size - 1
-    if work[last][last] % m != 1:
+    if size and work[last][last] % m != 1:
         raise InternalInconsistency("trailing pivot is %d, determinant bookkeeping broken"
                                     % work[last][last])
     for r in range(last):

@@ -33,7 +33,7 @@ from .errors import (
 from .integers import factorize
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import Poly
+from .polynomial import Poly, degree_ratio
 from .root_data import UNKNOWN, ThetaLike, is_generically_split, poincare_homogeneous
 
 
@@ -85,11 +85,7 @@ def rost_poincare(data: TorsionData, J: JLike) -> Poly:
     t = 1 is p^{j_1 + ... + j_r}.
     """
     J = as_jinvariant(data, J)
-    out = Poly.one()
-    for d, j in zip(data.d, J.j):
-        if j:
-            out = out * Poly.geometric(d, data.p ** j)
-    return out
+    return degree_ratio([d * data.p ** j for d, j in zip(data.d, J.j)], data.d)
 
 
 def canonical_p_dimension(data: TorsionData, J: JLike) -> int:

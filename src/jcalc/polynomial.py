@@ -12,7 +12,9 @@ with no trailing zeros; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Iterator, Tuple
 
 from .errors import NotDivisible
 
@@ -211,13 +213,6 @@ class Poly:
             raise NotDivisible("nonzero remainder")
         return Poly(q)
 
-    def divides(self, other: "Poly") -> bool:
-        try:
-            other.exact_div(self)
-        except NotDivisible:
-            return False
-        return True
-
     # -- predicates -----------------------------------------------------
 
     @property
@@ -244,3 +239,42 @@ def cyclotomic(n: int) -> Poly:
         if n % d == 0:
             num = num.exact_div(cyclotomic(d))
     return num
+
+
+def cyclotomic_exponents(num: Iterable[int], den: Iterable[int]) -> Tuple[int, ...]:
+    """Exponents (e_1, e_2, ...) of Phi_n in prod_{a in num} (1 - t^a) /
+    prod_{b in den} (1 - t^b), trailing zeros dropped: e_n = #{n | a} -
+    #{n | b}.  The ratio is a polynomial exactly when no e_n is negative,
+    and is then fixed by the tuple (its constant term is 1).
+
+    >>> cyclotomic_exponents((2, 3), (1, 1))
+    (0, 1, 1)
+    """
+    num, den = list(num), list(den)
+    e = [sum(a % n == 0 for a in num) - sum(b % n == 0 for b in den)
+         for n in range(1, max(num + den, default=0) + 1)]
+    while e and e[-1] == 0:
+        e.pop()
+    return tuple(e)
+
+
+def degree_ratio(num: Iterable[int], den: Iterable[int]) -> Poly:
+    """prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b), which must be
+    a polynomial.  Common degrees cancel; the rest is a power series up to
+    degree sum(num) - sum(den), O(degree) per factor.
+
+    >>> degree_ratio((2, 3), (1, 1))
+    Poly([1, 2, 2, 1])
+    """
+    num, den = list(num), list(den)
+    for a in list(num):
+        if a in den:
+            num.remove(a)
+            den.remove(a)
+    f = [1] + [0] * (sum(num) - sum(den))
+    for a in num:
+        f[a:] = map(sub, f[a:], f)          # times 1 - t^a
+    for b in den:
+        for r in range(b):
+            f[r::b] = accumulate(f[r::b])   # over 1 - t^b: q_i = f_i + q_{i-b}
+    return Poly(f)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInconsistency, UnsupportedForm
-from .polynomial import Poly
+from .polynomial import Poly, cyclotomic_exponents, degree_ratio
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -161,10 +161,7 @@ def poincare_complete_flag(t: DynkinType) -> Poly:
     value at t = 1 is the Weyl group order and the degree is the number
     of positive roots.
     """
-    p = Poly.one()
-    for d in weyl_degrees(t):
-        p = p * Poly.geometric(1, d)
-    return p
+    return degree_ratio(weyl_degrees(t), (1,) * t.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -318,33 +315,37 @@ def _theta_set(t: DynkinType, theta: ThetaLike) -> FrozenSet[int]:
     return ParabolicSubset(t, frozenset(theta)).theta
 
 
+def flag_degrees(t: DynkinType, theta: ThetaLike) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Degrees (num, den) with P(G/P_theta) = prod (1 - t^a) / prod (1 - t^b):
+    the Weyl degrees over the Levi degrees (those of the components of
+    theta, sorted) padded with 1 up to the rank."""
+    levi = sorted(d for comp in theta_components(t, _theta_set(t, theta))
+                  for d in weyl_degrees(comp))
+    return weyl_degrees(t), tuple(levi) + (1,) * (t.rank - len(levi))
+
+
 def poincare_weyl_subgroup(t: DynkinType, theta: ThetaLike) -> Poly:
     """Length generating polynomial of the parabolic Weyl subgroup W_theta.
 
     W_theta is the direct product of the Weyl groups of the connected
-    components of theta, so its Poincare polynomial is the product of the
-    component flag polynomials.
+    components of theta, so its Poincare polynomial is
+    prod (1 - t^b) / (1 - t) over the Levi degrees b, which is the
+    padded den of flag_degrees over (1 - t)^rank.
     """
-    p = Poly.one()
-    for comp in theta_components(t, _theta_set(t, theta)):
-        p = p * poincare_complete_flag(comp)
-    return p
+    return degree_ratio(flag_degrees(t, theta)[1], (1,) * t.rank)
 
 
 def poincare_homogeneous(t: DynkinType, theta: ThetaLike = None) -> Poly:
     """Poincare polynomial of the flag variety G/P_theta.
 
-    Computed as the exact quotient P(W, t) / P(W_theta, t); the Borel
-    (empty theta) gives the complete flag and the full vertex set gives
-    the constant polynomial 1.
+    P(W) / P(W_theta), the degree ratio of flag_degrees; the Borel gives
+    the complete flag and the full vertex set the constant 1.
     """
-    total = poincare_complete_flag(t)
-    levi = poincare_weyl_subgroup(t, theta)
-    try:
-        q = total.exact_div(levi)
-    except Exception as exc:  # inexact division means corrupted degree data
+    num, den = flag_degrees(t, theta)
+    if min(cyclotomic_exponents(num, den), default=0) < 0:  # corrupted degree data
         raise InternalInconsistency(
-            "P(W_theta) does not divide P(W) for %s, theta=%s" % (t, theta)) from exc
+            "P(W_theta) does not divide P(W) for %s, theta=%s" % (t, theta))
+    q = degree_ratio(num, den)
     if not q.is_nonnegative:
         raise InternalInconsistency("negative flag quotient for %s" % (t,))
     return q

@@ -18,42 +18,23 @@ decomposition calculator reports as NotDivisible.  The complete flag
 (empty theta) is certified for every value: a group of inner type splits
 over the function field of its Borel variety.
 
-Distinct parabolics with the same Levi polynomial, and distinct values
-with the same summand polynomial, are deduplicated before dividing.
+Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b), so
+divisibility is containment of cyclotomic exponent vectors.  Parabolics
+are grouped by Levi type once per Dynkin type and counted per value;
+each distinct (summand, flag polynomial) pair of a row is checked once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import NotDivisible
 from .jinvariant import JInvariant, enumerate_admissible
 from .kac_table import GroupForm, table_rows, torsion_data
-from .motive import rost_poincare
-from .polynomial import Poly
-from .root_data import (
-    UNKNOWN,
-    is_generically_split,
-    poincare_complete_flag,
-    poincare_weyl_subgroup,
-)
-
-
-def generically_split_thetas(form: GroupForm, tits_index: int = 1,
-                             splitting_degree: int = 1) -> Iterator[frozenset]:
-    """All theta certified generically split by the vertex table as-is.
-
-    UNKNOWN outcomes (the Pfister-dependent rows) are excluded; only
-    vertices decidable from (d, q) count.
-    """
-    vertices = list(form.base.vertices)
-    for bits in itertools.product((False, True), repeat=len(vertices)):
-        theta = frozenset(v for v, b in zip(vertices, bits) if b)
-        verdict = is_generically_split(form, theta, tits_index, splitting_degree)
-        if verdict is not UNKNOWN and verdict:
-            yield theta
+from .polynomial import cyclotomic_exponents, degree_ratio
+from .root_data import DynkinType, flag_degrees, is_generically_split
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -125,44 +106,61 @@ class SweepReport:
         return not self.failures
 
 
+def _divisibility_witness(summand, total, need, have) -> Optional[str]:
+    """Why the degree ratio summand = (num, den) fails to divide total with
+    a nonnegative quotient, need and have being their cyclotomic exponent
+    vectors; None when it does."""
+    for n, (e_s, e_t) in enumerate(itertools.zip_longest(need, have, fillvalue=0), 1):
+        if e_s > e_t:
+            return "Phi_%d divides the summand %d times, the flag polynomial %d times" % (
+                n, e_s, e_t)
+    quotient = degree_ratio(total[0] + summand[1], total[1] + summand[0]).coeffs
+    negative = [(i, c) for i, c in enumerate(quotient) if c < 0]
+    return "quotient coefficient of t^%d is %d" % negative[0] if negative else None
+
+
 def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
     """Check decomposition divisibility across the whole table.
 
     Returns a report with the number of (form, p) rows, the number of
-    (J, theta) cases covered, the number of deduplicated polynomial
-    divisions performed, and any failures (expected: none).
+    (J, theta) cases covered, the number of distinct (summand, flag
+    polynomial) pairs checked per row, and any failures (expected: none)
+    as (form, p, J, theta, reason naming the missing cyclotomic factor or
+    the first negative quotient coefficient).
     """
     report = SweepReport()
+    groups: Dict[DynkinType, list] = {}    # (total, its exponents, theta bitmasks)
+    passing: Dict[Tuple[DynkinType, int], List[List[int]]] = {}
     for form, p in table_rows(max_rank):
-        data = torsion_data(form, p)
+        data, t = torsion_data(form, p), form.base
         report.rows += 1
-        flag = poincare_complete_flag(form.base)
-
-        levi_cache: Dict[FrozenSet[int], Poly] = {}
-        quotient_cache: Dict[Tuple[Tuple, Tuple], bool] = {}
+        if t not in groups:
+            by_total = defaultdict(list)
+            for mask in range(1 << t.rank):
+                theta = [v for v in t.vertices if mask >> (v - 1) & 1]
+                by_total[flag_degrees(t, theta)].append(mask)
+            groups[t] = [(total, cyclotomic_exponents(*total), masks)
+                         for total, masks in by_total.items()]
+        verdicts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[str]] = {}
         for J in enumerate_admissible(form, p):
-            summand = rost_poincare(data, J)
-            skey = summand.coeffs
-            for theta in consistent_split_thetas(form, p, J):
-                if theta not in levi_cache:
-                    levi_cache[theta] = flag.exact_div(
-                        poincare_weyl_subgroup(form.base, theta))
-                total = levi_cache[theta]
-                report.cases += 1
-                key = (skey, total.coeffs)
-                if key in quotient_cache:
-                    ok = quotient_cache[key]
-                else:
+            good = sum(1 << (v - 1) for v in consistent_split_vertices(form, p, J.j))
+            if (t, good) not in passing:
+                # the Borel passes; any other theta must leave out a good vertex
+                passing[t, good] = [[m for m in masks if not m or ~m & good]
+                                    for _, _, masks in groups[t]]
+            summand = (tuple(d * p ** j for d, j in zip(data.d, J.j)), data.d)
+            need = cyclotomic_exponents(*summand)
+            for (total, have, _), thetas in zip(groups[t], passing[t, good]):
+                if not thetas:
+                    continue
+                report.cases += len(thetas)
+                if (need, have) not in verdicts:
                     report.divisions += 1
-                    try:
-                        ok = total.exact_div(summand).is_nonnegative
-                    except NotDivisible:
-                        ok = False
-                    quotient_cache[key] = ok
-                if not ok:
-                    report.failures.append(
-                        (form.name, p, J.j, tuple(sorted(theta)),
-                         "division failed or went negative"))
+                    verdicts[need, have] = _divisibility_witness(summand, total, need, have)
+                if verdicts[need, have] is not None:
+                    report.failures += [
+                        (form.name, p, J.j, tuple(v for v in t.vertices if m >> (v - 1) & 1),
+                         verdicts[need, have]) for m in thetas]
     return report
 
 

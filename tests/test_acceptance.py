@@ -239,20 +239,28 @@ class _DenseRingOracle:
                 break
         return work[:rank]
 
-    def _product(self, u, v):
-        out = np.bincount(self.mult.ravel(), weights=np.outer(u, v).ravel(),
-                          minlength=self.dim + 1)
-        # float64 sums of integers stay exact while every partial sum is below 2^53
-        assert (out == np.floor(out)).all()
-        return out[:self.dim].astype(np.int64) % self.data.p
+    def _products(self, basis):
+        """Every product u * v of two basis rows, as distinct nonzero rows mod p.
+
+        by_u[u] is the matrix of multiplication by u: row j holds u * x_j,
+        so basis @ by_u[u] lists u * v for every v, one integer matrix
+        product per u.  Fixing j, i -> mult[i, j] is injective away from
+        the truncated column, so plain assignment fills by_u exactly.
+        Every sum stays below dim * p^2, exact in int64.
+        """
+        i, j = np.indices(self.mult.shape)
+        by_u = np.zeros((len(basis), self.dim, self.dim + 1), dtype=np.int64)
+        by_u[:, j, self.mult] = basis[:, i]
+        rows = (basis @ by_u[:, :, :self.dim]).reshape(-1, self.dim) % self.data.p
+        distinct = {row.tobytes(): row for row in rows if row.any()}
+        return np.array(list(distinct.values()), dtype=np.int64).reshape(-1, self.dim)
 
     def closure(self, gens):
         one = np.zeros(self.dim, dtype=np.int64)
         one[self.index[(0,) * self.data.r]] = 1
         basis = self._echelon([one] + [self.vector(g) for g in gens])
         while True:
-            products = [self._product(u, v) for u in basis for v in basis]
-            bigger = self._echelon(list(basis) + products)
+            bigger = self._echelon(np.vstack([basis, self._products(basis)]))
             if bigger.shape[0] == basis.shape[0]:
                 return basis
             basis = bigger

@@ -136,6 +136,15 @@ class TestRoundTrips:
         assert a * d - b * c == 1
         assert [[x % m for x in row] for row in payload["lift"]] == payload["input"]
 
+    def test_lift_sl_demo_empty_matrix(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jcalc.cli", "lift", "sl", "--demo",
+             "--size", "0", "--modulus", "5", "--json"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"modulus": 5, "input": [], "lift": []}
+
     def test_lift_izvrat_demo(self, capsys):
         payload = run_json(capsys, "lift", "izvrat", "--demo", "--seed", "1",
                            "--modulus", "8", "--size", "3")

@@ -227,3 +227,7 @@ class TestSlLift:
 
     def test_size_one(self):
         assert sl_lift(ModMatrix(5, ((1,),))) == ((1,),)
+
+    def test_size_zero(self):
+        assert sl_lift(ModMatrix(5, ())) == ()
+        assert sl_lift(ModMatrix.zero(12, 0)) == ()

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jcalc.errors import NotDivisible
-from jcalc.polynomial import Poly, cyclotomic
+from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
@@ -78,6 +78,51 @@ def test_cyclotomic_product_is_t_n_minus_1(n):
         if n % d == 0:
             prod = prod * cyclotomic(d)
     assert prod == Poly.monomial(n) - Poly.one()
+
+
+def test_degree_ratio_examples():
+    assert cyclotomic_exponents((), ()) == ()
+    assert degree_ratio((), ()) == Poly.one()
+    assert cyclotomic_exponents((6,), (2,)) == (0, 0, 1, 0, 0, 1)
+    assert degree_ratio((6,), (2,)) == Poly([1, 0, 1, 0, 1])
+    assert degree_ratio((2, 4, 6), (1, 1, 1))(1) == 48      # |W(B3)|
+
+
+# A geometric factor (b, m) is (1 - t^(b m)) / (1 - t^b) = 1 + t^b + ... + t^(b (m-1)):
+# with b = 1 a flag polynomial's factor, with b = d_i and m = p^j_i a summand's.
+geometric_factors = st.lists(st.tuples(st.integers(1, 6), st.integers(2, 5)), max_size=4)
+
+
+def _as_ratio(factors):
+    return [b * m for b, m in factors], [b for b, _m in factors]
+
+
+def _as_poly(factors):
+    out = Poly.one()
+    for b, m in factors:
+        out = out * Poly.geometric(b, m)
+    return out
+
+
+@given(geometric_factors, geometric_factors)
+@example([(1, 2), (1, 3), (1, 4)], [(1, 2), (2, 2)])     # (1 + t^2) divides [4]_t
+@example([(1, 2), (1, 3)], [(2, 2)])                     # ... but not [2]_t [3]_t
+def test_exponent_containment_is_exact_division(total, summand):
+    (t_num, t_den), (s_num, s_den) = _as_ratio(total), _as_ratio(summand)
+    have, need = cyclotomic_exponents(t_num, t_den), cyclotomic_exponents(s_num, s_den)
+    assert min(have, default=0) >= 0 and min(need, default=0) >= 0
+    expected = Poly.one()
+    for n, e in enumerate(have, 1):
+        expected = expected * cyclotomic(n) ** e
+    assert expected == _as_poly(total) == degree_ratio(t_num, t_den)
+    contained = all(s <= t for s, t in zip(need, have + (0,) * len(need)))
+    try:
+        quotient = _as_poly(total).exact_div(_as_poly(summand))
+    except NotDivisible:
+        assert not contained
+    else:
+        assert contained
+        assert degree_ratio(t_num + s_den, t_den + s_num) == quotient
 
 
 def test_str():
