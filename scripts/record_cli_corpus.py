@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record the command-line output corpus replayed by tests/test_cli_corpus.py.
+"""Record the command-line output corpus replayed by tests/test_cli.py.
 
 Runs a fixed list of argument vectors through ``jcalc.cli.execute``, in
 text mode and with ``--json``, and writes each call's exit status and
@@ -16,7 +16,6 @@ CHANGES.md.
 import contextlib
 import io
 import json
-import os
 import pathlib
 
 from jcalc.cli import execute
@@ -91,7 +90,6 @@ def record_one(argv):
 
 
 def main() -> int:
-    os.environ.pop("JCALC_OUTPUT", None)
     corpus = []
     for argv in CALLS:
         corpus.append(record_one(list(argv)))

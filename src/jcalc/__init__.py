@@ -4,7 +4,6 @@ with a verification lab for idempotent lifting over finite coefficients.
 """
 
 from .errors import (
-    BudgetExceeded,
     ContextMismatch,
     DeterminantNotOne,
     HypothesisViolated,
@@ -44,7 +43,6 @@ from .jinvariant import (
     apply_steenrod_rule,
     enumerate_admissible,
     is_admissible,
-    leq,
 )
 from .kac_table import (
     ConstraintRule,
@@ -74,7 +72,6 @@ from .polynomial import Poly, cyclotomic
 from .root_data import (
     UNKNOWN,
     DynkinType,
-    ParabolicSubset,
     is_generically_split,
     poincare_complete_flag,
     poincare_homogeneous,

@@ -4,8 +4,7 @@ One verb per calculator: ``table dump``, ``jinv enumerate|check``,
 ``ring j-from-gens``, ``motive rost-poincare|decompose|candim|
 torsion-bound|integral``, ``flag poincare`` and ``lift idempotent|
 family|izvrat|sl``.  Every verb prints human-readable text by default
-and exactly one JSON document with ``--json`` after the verb (or with
-the environment variable JCALC_OUTPUT=json, read once at startup).
+and exactly one JSON document with ``--json`` after the verb.
 
 Exit status: 0 success, 1 domain error, 2 usage error.
 """
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -75,14 +73,13 @@ def _context(args) -> TorsionData:
     return TorsionData(args.p, _int_list(args.d), _int_list(args.k))
 
 
-def _matrix_from_args(args, attr: str = "matrix") -> ModMatrix:
-    text = getattr(args, attr, None)
-    if getattr(args, "infile", None):
+def _matrix_from_args(args) -> ModMatrix:
+    if args.infile:
         raw = sys.stdin.read() if args.infile == "-" else open(args.infile).read()
         return ModMatrix.parse(raw)
-    if text is None:
+    if args.matrix is None:
         raise ParseError("no matrix given; use --matrix or --in")
-    return ModMatrix.parse(text, modulus=args.modulus)
+    return ModMatrix.parse(args.matrix, modulus=args.modulus)
 
 
 def _pfister(value: Optional[str]) -> Optional[bool]:
@@ -403,13 +400,12 @@ def execute(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    json_mode = args.json or os.environ.get("JCALC_OUTPUT", "").lower() == "json"
     try:
         payload, lines = args.handler(args)
     except JCalcError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if json_mode:
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

@@ -47,11 +47,7 @@ class NoDivisor(JCalcError):
 
 
 class SearchBudgetExceeded(JCalcError):
-    """An exhaustive search was aborted because it exceeded its budget."""
-
-
-class BudgetExceeded(JCalcError):
-    """An enumeration was refused because its search space is too large."""
+    """An exhaustive search was refused because its space exceeds its budget."""
 
 
 class NotGenericallySplit(JCalcError):

@@ -383,12 +383,6 @@ class CrtSplitting:
     modulus: int
     factors: Tuple[Tuple[int, int], ...]
 
-    @classmethod
-    def of(cls, m: int) -> "CrtSplitting":
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        return cls(m, tuple(factorize(m)))
-
     @property
     def prime_power_moduli(self) -> Tuple[int, ...]:
         return tuple(p ** e for p, e in self.factors)
@@ -427,7 +421,9 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 
 def crt_split(m: int) -> CrtSplitting:
     """Prime factorization of m with invertible residue transport."""
-    return CrtSplitting.of(m)
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    return CrtSplitting(m, tuple(factorize(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +552,15 @@ def mod_inverse(matrix: ModMatrix) -> ModMatrix:
     """Inverse over Z/m, via the prime-power factors and CRT transport."""
     if prime_power(matrix.modulus) is not None:
         return _prime_power_inverse(matrix)
-    splitting = CrtSplitting.of(matrix.modulus)
+    splitting = crt_split(matrix.modulus)
     return splitting.combine([_prime_power_inverse(part)
                               for part in splitting.split(matrix)])
 
 
-def random_unimodular(rng, modulus: int, size: int, steps: Optional[int] = None) -> ModMatrix:
-    """Random product of transvections; determinant 1 by construction."""
+def random_unimodular(rng, modulus: int, size: int) -> ModMatrix:
+    """Random product of 3 * size transvections; determinant 1 by construction."""
     rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for _ in range(steps if steps is not None else 3 * size):
+    for _ in range(3 * size):
         i, j = rng.randrange(size), rng.randrange(size)
         if i == j:
             continue
@@ -579,9 +575,8 @@ def _part_diagonal(modulus: int, size: int, start: int, stop: int) -> ModMatrix:
         for i in range(size)))
 
 
-def random_idempotent_family(rng, modulus: int, size: int, parts: int,
-                             perturb: bool = True) -> List[ModMatrix]:
-    """Conjugated block family, optionally perturbed inside p M_l(Z/p^n).
+def random_idempotent_family(rng, modulus: int, size: int, parts: int) -> List[ModMatrix]:
+    """Conjugated block family, perturbed inside p M_l(Z/p^n).
 
     The perturbation vanishes mod p, so the family still satisfies the
     lifting hypotheses without being exactly idempotent.
@@ -591,13 +586,10 @@ def random_idempotent_family(rng, modulus: int, size: int, parts: int,
     bounds = [0] + cuts + [size]
     u = random_unimodular(rng, modulus, size)
     u_inv = mod_inverse(u)
-    family = [u * _part_diagonal(modulus, size, a, b) * u_inv
-              for a, b in zip(bounds, bounds[1:])]
-    if perturb:
-        family = [f + ModMatrix(modulus, tuple(
-            tuple(p * rng.randrange(modulus) for _ in range(size))
-            for _ in range(size))) for f in family]
-    return family
+    return [u * _part_diagonal(modulus, size, a, b) * u_inv
+            + ModMatrix(modulus, tuple(tuple(p * rng.randrange(modulus) for _ in range(size))
+                                       for _ in range(size)))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def random_isomorphism_instance(rng, modulus: int, size: int):

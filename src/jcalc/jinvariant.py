@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import BudgetExceeded, ContextMismatch, IndexOutOfRange
+from .errors import ContextMismatch, IndexOutOfRange, SearchBudgetExceeded
 from .kac_table import ConstraintRule, GroupForm, TorsionData, constraint_rules, torsion_data
 from .truncated_ring import lucas_binom
 
@@ -61,10 +61,6 @@ class JInvariant:
 
     def __str__(self) -> str:
         return "(%s)" % ",".join(str(x) for x in self.j)
-
-
-def leq(a: JInvariant, b: JInvariant) -> bool:
-    return a.precedes(b)
 
 
 JLike = Union[JInvariant, Sequence[int]]
@@ -134,7 +130,7 @@ def enumerate_admissible(form: GroupForm, p: int,
     for ki in data.k:
         size *= ki + 1
     if size > budget:
-        raise BudgetExceeded("box of %d candidates exceeds budget %d" % (size, budget))
+        raise SearchBudgetExceeded("box of %d candidates exceeds budget %d" % (size, budget))
     rules = constraint_rules(form, p)
     out = []
     for j in itertools.product(*[range(ki + 1) for ki in data.k]):

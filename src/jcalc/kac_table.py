@@ -22,6 +22,7 @@ then agrees with the SL/mu description of the same group).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -89,8 +90,6 @@ class GroupForm:
 
     @classmethod
     def adjoint(cls, base: DynkinType) -> "GroupForm":
-        if base.series == "A":
-            return cls(base, "slmu", base.rank + 1)
         return cls(base, "ad")
 
     @classmethod
@@ -225,9 +224,6 @@ class TorsionData:
     def ring_rank(self) -> int:
         """Number of monomials of the truncated ring, p^{k_1 + ... + k_r}."""
         return self.p ** sum(self.k)
-
-    def exceptional_degrees(self) -> Tuple[int, ...]:
-        return tuple(di * self.p ** ki for di, ki in zip(self.d, self.k))
 
 
 @dataclass(frozen=True)
@@ -413,25 +409,9 @@ def _row(form: GroupForm, p: int) -> Optional[Row]:
         else:
             row = _halfspin_row(rank)
         return row if row[0] else None
-    if s == "G":
-        return _EXCEPTIONAL_ROWS[("G2", 2)] if p == 2 else None
-    if s == "F":
-        return _EXCEPTIONAL_ROWS.get(("F4", p))
-    if s == "E" and rank == 6:
-        if p == 2:
-            return _EXCEPTIONAL_ROWS[("E6", 2)]
-        if p == 3:
-            return _EXCEPTIONAL_ROWS[("E6%s" % form.isogeny, 3)]
-        return None
-    if s == "E" and rank == 7:
-        if p == 2:
-            return _EXCEPTIONAL_ROWS[("E7%s" % form.isogeny, 2)]
-        if p == 3:
-            return _EXCEPTIONAL_ROWS[("E7", 3)]
-        return None
-    if s == "E" and rank == 8:
-        return _EXCEPTIONAL_ROWS.get(("E8", p))
-    return None
+    # E, F, G: a row keyed by the form's name, else one both isogenies share
+    return (_EXCEPTIONAL_ROWS.get((form.name, p))
+            or _EXCEPTIONAL_ROWS.get((str(form.base), p)))
 
 
 def torsion_primes(form: GroupForm) -> List[int]:
@@ -500,13 +480,9 @@ def exceptional_forms() -> Iterator[GroupForm]:
 
 def table_rows(max_rank: int = 8) -> Iterator[Tuple[GroupForm, int]]:
     """All (form, p) pairs with a nontrivial row, classical ranks bounded."""
-    seen = set()
-    for form in list(classical_forms(max_rank)) + list(exceptional_forms()):
+    for form in itertools.chain(classical_forms(max_rank), exceptional_forms()):
         for p in torsion_primes(form):
-            key = (form, p)
-            if key not in seen:
-                seen.add(key)
-                yield form, p
+            yield form, p
 
 
 def expand_table(max_rank: int = 8) -> Iterator[Dict]:

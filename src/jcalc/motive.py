@@ -94,10 +94,8 @@ def canonical_p_dimension(data: TorsionData, J: JLike) -> int:
     return sum(d * (data.p ** j - 1) for d, j in zip(data.d, J.j))
 
 
-def torsion_index_bound(J: JInvariant, p: Optional[int] = None) -> int:
+def torsion_index_bound(J: JInvariant) -> int:
     """Upper bound p^{sum j_i} for the p-part of the torsion index."""
-    if p is not None and p != J.p:
-        raise ValueError("p = %d but J lives at p = %d" % (p, J.p))
     return J.p ** J.weight
 
 
@@ -170,6 +168,10 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
 # Integral lifting via m-positive polynomials
 # ---------------------------------------------------------------------------
 
+# Largest divisor lattice or coefficient box an exhaustive search may cover.
+_SEARCH_BUDGET = 2 ** 22
+
+
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
     table = {p: poly for p, poly in summands}
     primes = [p for p, _e in factorize(m)]
@@ -196,7 +198,7 @@ def is_m_positive(g: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool
     return True
 
 
-def _divisors_of(total: Poly, cap: int) -> List[Poly]:
+def _divisors_of(total: Poly) -> List[Poly]:
     """All monic-content divisors of total over Z, via exact factorization."""
     t = sympy.Symbol("t")
     expr = sum(c * t ** i for i, c in enumerate(total.coeffs))
@@ -205,7 +207,7 @@ def _divisors_of(total: Poly, cap: int) -> List[Poly]:
     count = 1
     for _base, mult in factors:
         count *= mult + 1
-    if count * len(_divisors_of_int(abs(content))) > cap:
+    if count * len(_divisors_of_int(abs(content))) > _SEARCH_BUDGET:
         raise SearchBudgetExceeded("divisor lattice of size %d exceeds budget" % count)
     bases = []
     for base, mult in factors:
@@ -240,8 +242,7 @@ def _box_size(f: Poly) -> int:
     return size
 
 
-def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]],
-                          budget: int = 2 ** 22) -> bool:
+def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:
     """Can f not be written as a sum of two m-positive polynomials?
 
     Any m-positive summand has nonnegative coefficients, so both parts
@@ -251,9 +252,9 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]],
     table = list(_summand_map(m, summands).items())
     if not is_m_positive(f, m, table):
         raise ValueError("f is not m-positive, indecomposability is moot")
-    if _box_size(f) > budget:
+    if _box_size(f) > _SEARCH_BUDGET:
         raise SearchBudgetExceeded("coefficient box of %d exceeds budget %d"
-                                   % (_box_size(f), budget))
+                                   % (_box_size(f), _SEARCH_BUDGET))
     ranges = [range(c + 1) for c in f.coeffs]
     for combo in itertools.product(*ranges):
         g = Poly(combo)
@@ -267,7 +268,6 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]],
 
 def integral_decomposition(total: Poly, m: int,
                            summands: Iterable[Tuple[int, Poly]],
-                           budget: int = 2 ** 22,
                            all_candidates: bool = False):
     """Minimal m-positive divisor of total and its twist multiplicities.
 
@@ -282,7 +282,7 @@ def integral_decomposition(total: Poly, m: int,
     if not total:
         raise NoDivisor("the zero polynomial has no m-positive divisor")
     table = list(_summand_map(m, summands).items())
-    candidates = [d for d in _divisors_of(total, cap=budget)
+    candidates = [d for d in _divisors_of(total)
                   if is_m_positive(d, m, table)]
     if not candidates:
         raise NoDivisor("no m-positive divisor of the given polynomial")
@@ -291,7 +291,7 @@ def integral_decomposition(total: Poly, m: int,
     for f in candidates:
         if found and f.degree > found[0].degree:
             break
-        if is_sum_indecomposable(f, m, table, budget=budget):
+        if is_sum_indecomposable(f, m, table):
             found.append(f)
             if not all_candidates:
                 break

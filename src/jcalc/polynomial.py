@@ -114,10 +114,9 @@ class Poly:
                 continue
             if i == 0:
                 parts.append(str(c))
-            elif i == 1:
-                parts.append("t" if c == 1 else "%d*t" % c)
-            else:
-                parts.append("t^%d" % i if c == 1 else "%d*t^%d" % (c, i))
+                continue
+            mono = "t" if i == 1 else "t^%d" % i
+            parts.append({1: "", -1: "-"}.get(c, "%d*" % c) + mono)
         return " + ".join(parts).replace("+ -", "- ")
 
     # -- arithmetic ----------------------------------------------------
@@ -173,12 +172,6 @@ class Poly:
         for c in reversed(self._c):
             acc = acc * x + c
         return acc
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by t^n."""
-        if not self._c:
-            return self
-        return Poly((0,) * n + self._c)
 
     # -- division ------------------------------------------------------
 

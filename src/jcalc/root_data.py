@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, UnsupportedForm
 from .polynomial import Poly, cyclotomic_exponents, degree_ratio
@@ -191,43 +191,6 @@ def dynkin_edges(t: DynkinType) -> Tuple[Tuple[int, int, int], ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
-    """A subset theta of the vertices of an ambient Dynkin diagram.
-
-    The empty subset is the Borel and yields the complete flag variety;
-    the full vertex set yields a point.
-    """
-
-    ambient: DynkinType
-    theta: FrozenSet[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", frozenset(self.theta))
-        bad = [v for v in self.theta if not 1 <= v <= self.ambient.rank]
-        if bad:
-            raise ValueError("vertices %s outside 1..%d" % (sorted(bad), self.ambient.rank))
-
-    @classmethod
-    def borel(cls, ambient: DynkinType) -> "ParabolicSubset":
-        return cls(ambient, frozenset())
-
-    def complement(self) -> FrozenSet[int]:
-        return frozenset(self.ambient.vertices) - self.theta
-
-    @property
-    def is_borel(self) -> bool:
-        return not self.theta
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.theta) == self.ambient.rank
-
-    def __str__(self) -> str:
-        inner = ",".join(str(v) for v in sorted(self.theta))
-        return "{%s} in %s" % (inner, self.ambient)
-
-
 def _classify_tree(vertices: Sequence[int], edges: Sequence[Tuple[int, int, int]]) -> DynkinType:
     """Identify the type of a connected subdiagram from its labeled tree shape."""
     n = len(vertices)
@@ -302,17 +265,16 @@ def theta_components(t: DynkinType, theta: Iterable[int]) -> List[DynkinType]:
     return components
 
 
-ThetaLike = Union[ParabolicSubset, FrozenSet[int], Iterable[int], None]
+ThetaLike = Optional[Iterable[int]]
 
 
 def _theta_set(t: DynkinType, theta: ThetaLike) -> FrozenSet[int]:
-    if theta is None:
-        return frozenset()
-    if isinstance(theta, ParabolicSubset):
-        if theta.ambient != t:
-            raise ValueError("parabolic ambient %s does not match %s" % (theta.ambient, t))
-        return theta.theta
-    return ParabolicSubset(t, frozenset(theta)).theta
+    """theta as a vertex set of t; None (like the empty set) is the Borel."""
+    theta = frozenset(theta or ())
+    bad = sorted(v for v in theta if not 1 <= v <= t.rank)
+    if bad:
+        raise ValueError("vertices %s outside 1..%d" % (bad, t.rank))
+    return theta
 
 
 def flag_degrees(t: DynkinType, theta: ThetaLike) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -168,12 +168,6 @@ class TestRoundTrips:
 
 
 class TestOutputModes:
-    def test_env_var_sets_json(self, capsys, monkeypatch):
-        monkeypatch.setenv("JCALC_OUTPUT", "json")
-        status, out, _err = run(capsys, "motive", "torsion-bound", "--p", "3", "--j", "1")
-        assert status == 0
-        assert json.loads(out) == {"p": 3, "j": [1], "bound": 3}
-
     def test_text_mode_is_human(self, capsys):
         status, out, _err = run(capsys, "jinv", "enumerate", "--form", "E8", "--p", "5")
         assert status == 0
@@ -192,9 +186,8 @@ def test_parser_builds():
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"
 
 
-def test_recorded_corpus_replays_byte_identically(capsys, monkeypatch):
+def test_recorded_corpus_replays_byte_identically(capsys):
     """Output recorded by scripts/record_cli_corpus.py must not drift."""
-    monkeypatch.delenv("JCALC_OUTPUT", raising=False)
     corpus = json.loads(CORPUS.read_text())
     drift = []
     for entry in corpus:

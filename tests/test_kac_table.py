@@ -155,6 +155,11 @@ class TestRowInvariants:
             assert 1 <= rule.i <= data.r
             assert 1 <= rule.j <= data.r
 
+    @pytest.mark.parametrize("max_rank,count", [(8, 71), (12, 110), (20, 194)])
+    def test_table_rows_are_distinct(self, max_rank, count):
+        rows = list(table_rows(max_rank))
+        assert len(set(rows)) == len(rows) == count
+
     def test_determinism(self):
         e8 = parse_form("E8")
         assert torsion_data(e8, 2) == torsion_data(e8, 2)

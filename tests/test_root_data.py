@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcalc.errors import UnsupportedForm
-from jcalc.kac_table import parse_form
+from jcalc.kac_table import GroupForm, parse_form
+from jcalc.motive import decompose
 from jcalc.polynomial import Poly
 from jcalc.root_data import (
     UNKNOWN,
     DynkinType,
-    ParabolicSubset,
     dynkin_edges,
+    flag_degrees,
     is_generically_split,
     poincare_complete_flag,
     poincare_homogeneous,
@@ -126,14 +127,19 @@ def test_homogeneous_divides_flag(params, data):
     assert q * poincare_weyl_subgroup(t, theta) == poincare_complete_flag(t)
 
 
-def test_parabolic_validation():
+@pytest.mark.parametrize("call", [
+    poincare_homogeneous,
+    flag_degrees,
+    lambda t, theta: is_generically_split(t, theta, 1, 2),
+    lambda t, theta: decompose(GroupForm(t, "so"), 2, (1, 1), theta),
+], ids=["poincare_homogeneous", "flag_degrees", "is_generically_split", "decompose"])
+def test_theta_is_a_vertex_set(call):
     t = DynkinType("B", 3)
-    with pytest.raises(ValueError):
-        ParabolicSubset(t, frozenset({0}))
-    with pytest.raises(ValueError):
-        ParabolicSubset(t, frozenset({4}))
-    borel = ParabolicSubset.borel(t)
-    assert borel.is_borel and borel.complement() == {1, 2, 3}
+    for bad in ({0}, {4}, (1, 4)):
+        with pytest.raises(ValueError):
+            call(t, bad)
+    borel = call(t, None)
+    assert call(t, ()) == borel and call(t, set()) == borel
 
 
 class TestComponents:
