@@ -29,6 +29,7 @@ from .idempotent_lab import (
     random_unimodular,
     sl_lift,
 )
+from .integers import is_prime
 from .jinvariant import JInvariant, enumerate_admissible, is_admissible
 from .kac_table import TorsionData, constraint_rules, expand_table, parse_form, table_rows
 from .motive import (
@@ -74,8 +75,14 @@ def _context(args) -> TorsionData:
 
 
 def _matrix_from_args(args) -> ModMatrix:
+    if args.infile == "-":
+        return ModMatrix.parse(sys.stdin.read())
     if args.infile:
-        raw = sys.stdin.read() if args.infile == "-" else open(args.infile).read()
+        try:
+            with open(args.infile) as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError("cannot read --in: %s" % exc) from exc
         return ModMatrix.parse(raw)
     if args.matrix is None:
         raise ParseError("no matrix given; use --matrix or --in")
@@ -108,7 +115,7 @@ def _cmd_table_dump(args) -> Tuple[object, List[str]]:
 
 def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
     form = parse_form(args.form)
-    values = enumerate_admissible(form, args.p, budget=args.budget)
+    values = enumerate_admissible(form, args.p)
     payload = {"form": form.name, "p": args.p,
                "values": [J.to_dict() for J in values]}
     return payload, [str(J) for J in values]
@@ -158,13 +165,16 @@ def _cmd_motive_candim(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
+    j = _int_list(args.j)
     if args.d or args.k:
         # validate against a full context when one is supplied
-        data = _context(args)
-        bound = torsion_index_bound(JInvariant(data, _int_list(args.j)))
+        bound = torsion_index_bound(JInvariant(_context(args), j))
+    elif not is_prime(args.p) or min(j, default=0) < 0:
+        raise ParseError("--p must be a prime and --j nonnegative, got p = %d, j = %s"
+                         % (args.p, args.j))
     else:
-        bound = args.p ** sum(_int_list(args.j))
-    return {"p": args.p, "j": list(_int_list(args.j)), "bound": bound}, [str(bound)]
+        bound = args.p ** sum(j)
+    return {"p": args.p, "j": list(j), "bound": bound}, [str(bound)]
 
 
 def _cmd_motive_integral(args) -> Tuple[object, List[str]]:
@@ -284,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum = jinv.add_parser("enumerate", help="all admissible values of a row", parents=[common])
     enum.add_argument("--form", required=True)
     enum.add_argument("--p", type=int, required=True)
-    enum.add_argument("--budget", type=int, default=10 ** 6)
     enum.set_defaults(handler=_cmd_jinv_enumerate)
     check = jinv.add_parser("check", help="test one value against the table rules", parents=[common])
     check.add_argument("--form", required=True)

@@ -11,6 +11,7 @@ characterization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -118,19 +119,19 @@ def is_admissible(J: JLike, form: GroupForm, p: int = None) -> bool:
     return all(rule_holds(rule, j, p) for rule in constraint_rules(form, p))
 
 
-def enumerate_admissible(form: GroupForm, p: int,
-                         budget: int = 10 ** 6) -> List[JInvariant]:
+_BOX_BUDGET = 10 ** 6
+
+
+def enumerate_admissible(form: GroupForm, p: int) -> List[JInvariant]:
     """All admissible values in lexicographic order.
 
     Exhaustive filter over the box prod [0, k_i]; refuses boxes larger
-    than the budget.
+    than _BOX_BUDGET.
     """
     data = torsion_data(form, p)
-    size = 1
-    for ki in data.k:
-        size *= ki + 1
-    if size > budget:
-        raise SearchBudgetExceeded("box of %d candidates exceeds budget %d" % (size, budget))
+    size = math.prod(ki + 1 for ki in data.k)
+    if size > _BOX_BUDGET:
+        raise SearchBudgetExceeded("box of %d candidates exceeds budget %d" % (size, _BOX_BUDGET))
     rules = constraint_rules(form, p)
     out = []
     for j in itertools.product(*[range(ki + 1) for ki in data.k]):

@@ -16,6 +16,7 @@ m-positive polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -33,8 +34,11 @@ from .errors import (
 from .integers import factorize
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import Poly, degree_ratio
-from .root_data import UNKNOWN, ThetaLike, is_generically_split, poincare_homogeneous
+from .polynomial import Poly, cyclotomic_exponents, degree_ratio
+from .root_data import (UNKNOWN, ThetaLike, flag_degrees, is_generically_split,
+                        poincare_homogeneous)
+
+Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,12 @@ class MotiveDecomposition:
 # The repeated summand and its numeric shadows
 # ---------------------------------------------------------------------------
 
+def summand_degrees(data: TorsionData, J: JInvariant) -> Degrees:
+    """Degrees (num, den) with the summand polynomial prod (1 - t^a) /
+    prod (1 - t^b): a_i = d_i p^{j_i} over b_i = d_i."""
+    return tuple(d * data.p ** j for d, j in zip(data.d, J.j)), data.d
+
+
 def rost_poincare(data: TorsionData, J: JLike) -> Poly:
     """Poincare polynomial of the indecomposable summand over a splitting field.
 
@@ -84,14 +94,13 @@ def rost_poincare(data: TorsionData, J: JLike) -> Poly:
     geometric sum 1 + t^{d_i} + ... with p^{j_i} terms, so the value at
     t = 1 is p^{j_1 + ... + j_r}.
     """
-    J = as_jinvariant(data, J)
-    return degree_ratio([d * data.p ** j for d, j in zip(data.d, J.j)], data.d)
+    return degree_ratio(*summand_degrees(data, as_jinvariant(data, J)))
 
 
 def canonical_p_dimension(data: TorsionData, J: JLike) -> int:
     """sum d_i (p^{j_i} - 1), the degree of the summand polynomial."""
-    J = as_jinvariant(data, J)
-    return sum(d * (data.p ** j - 1) for d, j in zip(data.d, J.j))
+    num, den = summand_degrees(data, as_jinvariant(data, J))
+    return sum(num) - sum(den)
 
 
 def torsion_index_bound(J: JInvariant) -> int:
@@ -128,6 +137,23 @@ def rational_cycle_counts(data: TorsionData, J: JLike, flag_rank: int) -> Dict[s
 # Decomposition of a generically split flag variety
 # ---------------------------------------------------------------------------
 
+def twist_multiplicities(summand: Degrees, total: Degrees,
+                         need: Tuple[int, ...], have: Tuple[int, ...]) -> Poly:
+    """total / summand for degree ratios (num, den) whose cyclotomic
+    exponent vectors are need and have.  NotDivisible names the first
+    Phi_n with need_n > have_n, NegativeCoefficient the lowest negative
+    quotient coefficient."""
+    for n, (e_s, e_t) in enumerate(itertools.zip_longest(need, have, fillvalue=0), 1):
+        if e_s > e_t:
+            raise NotDivisible("Phi_%d divides the summand %d times, the flag polynomial "
+                               "%d times" % (n, e_s, e_t))
+    quotient = degree_ratio(total[0] + summand[1], total[1] + summand[0])
+    for i, c in enumerate(quotient):
+        if c < 0:
+            raise NegativeCoefficient("quotient coefficient of t^%d is %d" % (i, c))
+    return quotient
+
+
 def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
               tits_index: Optional[int] = None,
               splitting_degree: Optional[int] = None,
@@ -156,12 +182,10 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
                 "no vertex outside theta splits %s for d=%d, q=%d"
                 % (form, tits_index, splitting_degree))
     total = poincare_homogeneous(form.base, theta)
-    summand = rost_poincare(data, J)
-    multiplicities = total.exact_div(summand)  # raises NotDivisible
-    if not multiplicities.is_nonnegative:
-        raise NegativeCoefficient(
-            "negative multiplicity: J = %s is inconsistent with theta = %s" % (J, theta))
-    return MotiveDecomposition(summand, multiplicities, total)
+    flag, summand = flag_degrees(form.base, theta), summand_degrees(data, J)
+    multiplicities = twist_multiplicities(summand, flag, cyclotomic_exponents(*summand),
+                                          cyclotomic_exponents(*flag))
+    return MotiveDecomposition(degree_ratio(*summand), multiplicities, total)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +228,7 @@ def _divisors_of(total: Poly) -> List[Poly]:
     expr = sum(c * t ** i for i, c in enumerate(total.coeffs))
     content, factors = sympy.factor_list(sympy.Poly(expr, t))
     content = int(content)
-    count = 1
-    for _base, mult in factors:
-        count *= mult + 1
+    count = math.prod(mult + 1 for _base, mult in factors)
     if count * len(_divisors_of_int(abs(content))) > _SEARCH_BUDGET:
         raise SearchBudgetExceeded("divisor lattice of size %d exceeds budget" % count)
     bases = []
@@ -235,13 +257,6 @@ def _divisors_of_int(n: int) -> List[int]:
     return out
 
 
-def _box_size(f: Poly) -> int:
-    size = 1
-    for c in f.coeffs:
-        size *= c + 1
-    return size
-
-
 def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:
     """Can f not be written as a sum of two m-positive polynomials?
 
@@ -252,9 +267,10 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]])
     table = list(_summand_map(m, summands).items())
     if not is_m_positive(f, m, table):
         raise ValueError("f is not m-positive, indecomposability is moot")
-    if _box_size(f) > _SEARCH_BUDGET:
+    box = math.prod(c + 1 for c in f.coeffs)
+    if box > _SEARCH_BUDGET:
         raise SearchBudgetExceeded("coefficient box of %d exceeds budget %d"
-                                   % (_box_size(f), _SEARCH_BUDGET))
+                                   % (box, _SEARCH_BUDGET))
     ranges = [range(c + 1) for c in f.coeffs]
     for combo in itertools.product(*ranges):
         g = Poly(combo)

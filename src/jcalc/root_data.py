@@ -111,10 +111,7 @@ def weyl_degrees(t: DynkinType) -> Tuple[int, ...]:
 
 
 def weyl_order(t: DynkinType) -> int:
-    order = 1
-    for d in weyl_degrees(t):
-        order *= d
-    return order
+    return math.prod(weyl_degrees(t))
 
 
 def _closed_form_order(t: DynkinType) -> int:

@@ -27,13 +27,16 @@ each distinct (summand, flag polynomial) pair of a row is checked once.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .errors import NegativeCoefficient, NotDivisible
 from .jinvariant import JInvariant, enumerate_admissible
 from .kac_table import GroupForm, table_rows, torsion_data
-from .polynomial import cyclotomic_exponents, degree_ratio
+from .motive import summand_degrees, twist_multiplicities
+from .polynomial import cyclotomic_exponents
 from .root_data import DynkinType, flag_degrees, is_generically_split
 
 
@@ -106,19 +109,6 @@ class SweepReport:
         return not self.failures
 
 
-def _divisibility_witness(summand, total, need, have) -> Optional[str]:
-    """Why the degree ratio summand = (num, den) fails to divide total with
-    a nonnegative quotient, need and have being their cyclotomic exponent
-    vectors; None when it does."""
-    for n, (e_s, e_t) in enumerate(itertools.zip_longest(need, have, fillvalue=0), 1):
-        if e_s > e_t:
-            return "Phi_%d divides the summand %d times, the flag polynomial %d times" % (
-                n, e_s, e_t)
-    quotient = degree_ratio(total[0] + summand[1], total[1] + summand[0]).coeffs
-    negative = [(i, c) for i, c in enumerate(quotient) if c < 0]
-    return "quotient coefficient of t^%d is %d" % negative[0] if negative else None
-
-
 def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
     """Check decomposition divisibility across the whole table.
 
@@ -148,7 +138,7 @@ def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
                 # the Borel passes; any other theta must leave out a good vertex
                 passing[t, good] = [[m for m in masks if not m or ~m & good]
                                     for _, _, masks in groups[t]]
-            summand = (tuple(d * p ** j for d, j in zip(data.d, J.j)), data.d)
+            summand = summand_degrees(data, J)
             need = cyclotomic_exponents(*summand)
             for (total, have, _), thetas in zip(groups[t], passing[t, good]):
                 if not thetas:
@@ -156,7 +146,11 @@ def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
                 report.cases += len(thetas)
                 if (need, have) not in verdicts:
                     report.divisions += 1
-                    verdicts[need, have] = _divisibility_witness(summand, total, need, have)
+                    try:
+                        twist_multiplicities(summand, total, need, have)
+                        verdicts[need, have] = None
+                    except (NotDivisible, NegativeCoefficient) as exc:
+                        verdicts[need, have] = str(exc)
                 if verdicts[need, have] is not None:
                     report.failures += [
                         (form.name, p, J.j, tuple(v for v in t.vertices if m >> (v - 1) & 1),
@@ -169,8 +163,6 @@ def admissible_census(max_rank: int = 8) -> List[Tuple[str, int, int, int]]:
     out = []
     for form, p in table_rows(max_rank):
         data = torsion_data(form, p)
-        box = 1
-        for k in data.k:
-            box *= k + 1
+        box = math.prod(k + 1 for k in data.k)
         out.append((form.name, p, box, len(enumerate_admissible(form, p))))
     return out

@@ -14,6 +14,7 @@ from generating cycles, and a small text format for elements.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,14 +45,7 @@ def lucas_binom(n: int, m: int, p: int) -> int:
         return 0
     result = 1
     while m:
-        nd, md = n % p, m % p
-        if md > nd:
-            return 0
-        num = den = 1
-        for i in range(md):
-            num = num * (nd - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
+        result = result * math.comb(n % p, m % p) % p
         n //= p
         m //= p
     return result % p

@@ -50,6 +50,26 @@ class TestExitCodes:
                                 "--p", "5", "--j", "1", "--theta", theta)
         assert status == 1
 
+    def test_unreadable_in_file_is_exit_1(self, capsys, tmp_path):
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path / "missing.txt", binary):
+            status, out, err = run(capsys, "lift", "idempotent", "--in", str(path), "--json")
+            assert (status, out) == (1, "")
+            assert err.startswith("error:")
+
+    def test_torsion_bound_rejects_negative_j(self, capsys):
+        status, out, err = run(capsys, "motive", "torsion-bound", "--p", "2",
+                               "--j", "-1", "--json")
+        assert (status, out) == (1, "")
+        assert err.startswith("error:")
+
+    def test_torsion_bound_rejects_non_prime_p(self, capsys):
+        status, out, err = run(capsys, "motive", "torsion-bound", "--p", "4",
+                               "--j", "1", "--json")
+        assert (status, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_help_everywhere(self, capsys):
         verbs = [
             ["table", "dump"], ["jinv", "enumerate"], ["jinv", "check"],
@@ -154,6 +174,18 @@ class TestRoundTrips:
         payload = run_json(capsys, "lift", "idempotent",
                            "--matrix", "1,2;0,0", "--modulus", "4")
         assert payload["entries"] == [[1, 2], [0, 0]]
+
+    def test_lift_idempotent_in_file_is_closed(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("mod 4 size 2\n1,2;0,0\n")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "jcalc.cli", "lift", "idempotent",
+             "--in", str(path), "--json"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["entries"] == [[1, 2], [0, 0]]
 
     def test_lift_family(self, capsys):
         payload = run_json(capsys, "lift", "family", "--modulus", "4",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from jcalc import jinvariant
 from jcalc.errors import ContextMismatch, IndexOutOfRange, SearchBudgetExceeded
 from jcalc.jinvariant import (
     JInvariant,
@@ -92,9 +93,10 @@ class TestEnumeration:
         values = [v.j for v in enumerate_admissible(parse_form("E8"), 2)]
         assert values == sorted(values)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(jinvariant, "_BOX_BUDGET", 3)
         with pytest.raises(SearchBudgetExceeded):
-            enumerate_admissible(parse_form("E8"), 2, budget=3)
+            enumerate_admissible(parse_form("E8"), 2)
 
     def test_ge_only_rows_meet_closed_and_connected(self):
         # rows whose rules are all ungated GE chains: the admissible set is

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from jcalc.errors import (
@@ -22,7 +25,12 @@ from jcalc.motive import (
     torsion_index_bound,
 )
 from jcalc.polynomial import Poly
-from jcalc.root_data import DynkinType, poincare_complete_flag, weyl_order
+from jcalc.root_data import (
+    DynkinType,
+    poincare_complete_flag,
+    poincare_homogeneous,
+    weyl_order,
+)
 
 S2 = Poly([1, 0, 0, 1])                    # 1 + t^3
 S3 = Poly([1, 0, 0, 0, 1, 0, 0, 0, 1])    # 1 + t^4 + t^8
@@ -78,10 +86,16 @@ class TestDecompose:
         assert dec.multiplicities == dec.total_poincare
 
     def test_impossible_combination_signals(self):
-        # a point (full theta) cannot carry a nontrivial summand
+        # a point (full theta) cannot carry a nontrivial summand; the error
+        # names the cyclotomic factor the point lacks
         e8 = parse_form("E8")
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible) as exc:
             decompose(e8, 5, (1,), theta=set(range(1, 9)))
+        assert str(exc.value) == ("Phi_5 divides the summand 1 times, "
+                                  "the flag polynomial 0 times")
+        with pytest.raises(NegativeCoefficient) as exc:
+            decompose(parse_form("D4pgo"), 2, (1, 1, 0), theta={1, 2, 3})
+        assert str(exc.value) == "quotient coefficient of t^1 is -1"
 
     def test_generic_splitness_gate(self):
         e8 = parse_form("E8")
@@ -106,9 +120,46 @@ class TestDecompose:
 
     def test_twists(self):
         dec = decompose(parse_form("A4ad"), 5, (1,), theta={1, 3, 4})
-        # Gr(2,5): quotient (1+t^2)(1+t^4) hmm computed independently below
+        # Gr(2,5): [5 choose 2]_t / (1 + t + ... + t^4) = 1 + t^2
+        assert dec.multiplicities == Poly([1, 0, 1])
         assert dec.multiplicities(1) * 5 == dec.total_poincare(1)
         assert sorted(dec.twists()) == dec.twists()
+
+
+def _decompose_by_division(form, p, J, theta):
+    """decompose as it was before exponent vectors: the summand as a product
+    of geometric sums, the multiplicities by exact division."""
+    data = torsion_data(form, p)
+    total = poincare_homogeneous(form.base, theta)
+    summand = Poly.one()
+    for d, j in zip(data.d, J.j):
+        summand = summand * Poly.geometric(d, p ** j)
+    multiplicities = total.exact_div(summand)  # raises NotDivisible
+    if not multiplicities.is_nonnegative:
+        raise NegativeCoefficient("negative multiplicity")
+    return MotiveDecomposition(summand, multiplicities, total)
+
+
+def _outcome(decomposer, case):
+    try:
+        return decomposer(*case).multiplicities
+    except (NotDivisible, NegativeCoefficient) as exc:
+        return type(exc)
+
+
+def test_decompose_matches_exact_division():
+    # every theta of the rows of rank <= 4 (D4pgo gives both failure kinds),
+    # and a seeded sample of the larger exceptional rows
+    cases = [(form, p, J, theta) for form, p in table_rows(4)
+             for J in enumerate_admissible(form, p)
+             for r in range(form.base.rank + 1)
+             for theta in itertools.combinations(form.base.vertices, r)]
+    small = [case for case in cases if case[0].base.rank <= 4]
+    large = [case for case in cases if case[0].base.rank > 4]
+    sample = small + random.Random(8).sample(large, 600)
+    outcomes = [_outcome(decompose, case) for case in sample]
+    assert outcomes == [_outcome(_decompose_by_division, case) for case in sample]
+    assert NotDivisible in outcomes and NegativeCoefficient in outcomes
 
 
 class TestNumericShadows:
