@@ -178,6 +178,8 @@ def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_motive_integral(args) -> Tuple[object, List[str]]:
+    if args.m < 1:
+        raise ParseError("--m must be positive, got %d" % args.m)
     total = _poly(args.total)
     summands = list(args.summand)
     if args.all:

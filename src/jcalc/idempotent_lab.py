@@ -65,10 +65,6 @@ class ModMatrix:
     def zero(cls, modulus: int, size: int) -> "ModMatrix":
         return cls(modulus, tuple((0,) * size for _ in range(size)))
 
-    @classmethod
-    def from_rows(cls, modulus: int, rows: Sequence[Sequence[int]]) -> "ModMatrix":
-        return cls(modulus, tuple(tuple(row) for row in rows))
-
     # -- accessors --------------------------------------------------------
 
     @property
@@ -151,7 +147,7 @@ class ModMatrix:
             rows = [[int(x) for x in row.split(",")] for row in body.strip().split(";")]
         except ValueError as exc:
             raise ParseError("bad matrix body in %r" % (text,)) from exc
-        mat = cls.from_rows(m, rows)
+        mat = cls(m, rows)
         if size is not None and mat.size != size:
             raise ParseError("header says size %d, body has %d rows" % (size, mat.size))
         return mat
@@ -236,6 +232,23 @@ def _corner(u: ModMatrix, x: ModMatrix) -> ModMatrix:
     return u * x * u
 
 
+def _family_defect(members: Sequence[ModMatrix]) -> Optional[str]:
+    """The first way members fail to be a complete orthogonal idempotent
+    family: a sum other than the identity, a member that is not
+    idempotent, or two members that are not orthogonal."""
+    m, size = members[0].modulus, members[0].size
+    if sum(members[1:], members[0]) != ModMatrix.identity(m, size):
+        return "family does not sum to the identity mod %d" % m
+    zero = ModMatrix.zero(m, size)
+    for i, e in enumerate(members):
+        if not e.is_idempotent:
+            return "member %d is not idempotent mod %d" % (i, m)
+        for j, f in enumerate(members[i + 1:], i + 1):
+            if e * f != zero or f * e != zero:
+                return "members %d and %d are not orthogonal mod %d" % (i, j, m)
+    return None
+
+
 def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
     """Lift a complete orthogonal idempotent family mod p to Z/p^n.
 
@@ -253,16 +266,9 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
     if any(f.modulus != mod or f.size != size for f in family):
         raise NotAFamily("family members have mismatched shape or modulus")
     reductions = [f.reduce(p) for f in family]
-    ident_p = ModMatrix.identity(p, size)
-    if sum(reductions[1:], reductions[0]) != ident_p:
-        raise NotAFamily("family does not sum to the identity mod %d" % p)
-    for i, fi in enumerate(reductions):
-        if not fi.is_idempotent:
-            raise NotAFamily("member %d is not idempotent mod %d" % (i, p))
-        for j in range(i + 1, len(reductions)):
-            if fi * reductions[j] != ModMatrix.zero(p, size) or \
-               reductions[j] * fi != ModMatrix.zero(p, size):
-                raise NotAFamily("members %d and %d are not orthogonal mod %d" % (i, j, p))
+    defect = _family_defect(reductions)
+    if defect:
+        raise NotAFamily(defect)
 
     ident = ModMatrix.identity(mod, size)
 
@@ -277,20 +283,11 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
 
     lifted = rec(list(family), ident)
     # verify the advertised exact identities before returning
-    total = lifted[0]
-    for e in lifted[1:]:
-        total = total + e
-    if total != ident:
-        raise InternalInconsistency("lifted family does not sum to the identity")
-    for i, ei in enumerate(lifted):
-        if not ei.is_idempotent:
-            raise InternalInconsistency("lifted member %d is not idempotent" % i)
-        if ei.reduce(p) != reductions[i]:
-            raise InternalInconsistency("lifted member %d has the wrong reduction" % i)
-        for j in range(i + 1, len(lifted)):
-            zero = ModMatrix.zero(mod, size)
-            if ei * lifted[j] != zero or lifted[j] * ei != zero:
-                raise InternalInconsistency("lifted members %d, %d not orthogonal" % (i, j))
+    defect = _family_defect(lifted)
+    if defect:
+        raise InternalInconsistency("lifted " + defect)
+    if [e.reduce(p) for e in lifted] != reductions:
+        raise InternalInconsistency("lifted family has the wrong reduction")
     return lifted
 
 

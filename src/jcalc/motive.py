@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import sympy
+# Unused here; perfbench/tracer.py swaps a traced proxy in at motive.sympy.
+import sympy  # noqa: F401
 
 from .errors import (
     MissingPrime,
@@ -34,9 +35,8 @@ from .errors import (
 from .integers import factorize
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import Poly, cyclotomic_exponents, degree_ratio
-from .root_data import (UNKNOWN, ThetaLike, flag_degrees, is_generically_split,
-                        poincare_homogeneous)
+from .polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
+from .root_data import UNKNOWN, ThetaLike, flag_degrees, is_generically_split
 
 Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -181,22 +181,23 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
             raise NotGenericallySplit(
                 "no vertex outside theta splits %s for d=%d, q=%d"
                 % (form, tits_index, splitting_degree))
-    total = poincare_homogeneous(form.base, theta)
     flag, summand = flag_degrees(form.base, theta), summand_degrees(data, J)
     multiplicities = twist_multiplicities(summand, flag, cyclotomic_exponents(*summand),
                                           cyclotomic_exponents(*flag))
-    return MotiveDecomposition(degree_ratio(*summand), multiplicities, total)
+    return MotiveDecomposition(degree_ratio(*summand), multiplicities, degree_ratio(*flag))
 
 
 # ---------------------------------------------------------------------------
 # Integral lifting via m-positive polynomials
 # ---------------------------------------------------------------------------
 
-# Largest divisor lattice or coefficient box an exhaustive search may cover.
+# Largest divisor sub-box or coefficient box an exhaustive search may cover.
 _SEARCH_BUDGET = 2 ** 22
 
 
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
+    if m < 1:
+        raise ValueError("m must be positive, got %d" % m)
     table = {p: poly for p, poly in summands}
     primes = [p for p, _e in factorize(m)]
     missing = [p for p in primes if p not in table]
@@ -206,55 +207,70 @@ def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly
     return {p: table[p] for p in primes}
 
 
+def _divides_nonnegatively(g: Poly, polys: Iterable[Poly]) -> bool:
+    try:
+        return bool(g) and all(g.exact_div(poly).is_nonnegative for poly in polys)
+    except (NotDivisible, ZeroDivisionError):
+        return False
+
+
 def is_m_positive(g: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:
     """Is g nonzero and exactly divisible, with nonnegative quotient,
     by the mod-p summand polynomial for every prime p dividing m?"""
-    table = _summand_map(m, summands)
-    if not g:
-        return False
-    for poly in table.values():
-        try:
-            q = g.exact_div(poly)
-        except NotDivisible:
-            return False
-        if not q.is_nonnegative:
-            return False
-    return True
+    return _divides_nonnegatively(g, _summand_map(m, summands).values())
 
 
-def _divisors_of(total: Poly) -> List[Poly]:
-    """All monic-content divisors of total over Z, via exact factorization."""
-    t = sympy.Symbol("t")
-    expr = sum(c * t ** i for i, c in enumerate(total.coeffs))
-    content, factors = sympy.factor_list(sympy.Poly(expr, t))
-    content = int(content)
-    count = math.prod(mult + 1 for _base, mult in factors)
-    if count * len(_divisors_of_int(abs(content))) > _SEARCH_BUDGET:
-        raise SearchBudgetExceeded("divisor lattice of size %d exceeds budget" % count)
-    bases = []
-    for base, mult in factors:
-        coeffs = [int(base.coeff_monomial(t ** i)) for i in range(base.degree() + 1)]
-        bases.append((Poly(coeffs), mult))
+def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Tuple[int, ...]]:
+    """(c, e) with the nonzero f = c * prod Phi_n^{e_n}, by exact division
+    by each Phi_n with phi(n) <= the remaining degree D; phi(n) >= sqrt(n)
+    for n > 6, so no n beyond max(6, D^2) can divide.  NotDivisible names
+    a cofactor that no Phi_n divides."""
+    e: List[int] = []
+    while f.degree > 0:
+        n = len(e) + 1
+        if n > max(6, f.degree ** 2):
+            raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (f, name))
+        e.append(0)
+        if math.prod((q - 1) * q ** (k - 1) for q, k in factorize(n)) <= f.degree:
+            try:
+                while True:
+                    f = f.exact_div(cyclotomic(n))
+                    e[-1] += 1
+            except NotDivisible:
+                pass
+    return f[0], tuple(e)
+
+
+def _m_positive_divisors(total: Poly, table: Dict[int, Poly]) -> List[Poly]:
+    """The m-positive divisors of total with positive leading coefficient.
+
+    Each contains the join of the summands' cyclotomic exponent vectors,
+    so only the sub-box join <= g <= e of the total's vector e, times the
+    positive divisors of its content, is built."""
+    c, e = _cyclotomic_factors(total, "the total")
+    join = [0] * len(e)
+    for p, poly in table.items():
+        _c, need = _cyclotomic_factors(poly, "the p = %d summand" % p)
+        for n, (k, have) in enumerate(itertools.zip_longest(need, e, fillvalue=0), 1):
+            if k > have:
+                raise NoDivisor("Phi_%d divides the p = %d summand %s, the total %s"
+                                % (n, p, _times(k), _times(have)))
+        join = [max(j, k) for j, k in itertools.zip_longest(join, need, fillvalue=0)]
+    atoms = ([(cyclotomic(n), lo, hi) for n, (lo, hi) in enumerate(zip(join, e), 1)]
+             + [(Poly([q]), 0, k) for q, k in factorize(abs(c))])
+    size = math.prod(hi - lo + 1 for _base, lo, hi in atoms)
+    if size > _SEARCH_BUDGET:
+        raise SearchBudgetExceeded("divisor sub-box of %d exceeds budget %d"
+                                   % (size, _SEARCH_BUDGET))
     divisors = [Poly.one()]
-    for base, mult in bases:
-        divisors = [d * base ** e for d in divisors for e in range(mult + 1)]
-    out = []
-    for c in _divisors_of_int(abs(content)):
-        out.extend(d * c for d in divisors)
-    # Normalize sign so leading coefficients are positive, and dedupe.
-    seen = {}
-    for d in out:
-        if d.coeffs and d.coeffs[-1] < 0:
-            d = -d
-        seen[d.coeffs] = d
-    return list(seen.values())
+    for base, lo, hi in atoms:
+        powers = [base ** i for i in range(lo, hi + 1)]
+        divisors = [d * power for d in divisors for power in powers]
+    return [d for d in divisors if _divides_nonnegatively(d, table.values())]
 
 
-def _divisors_of_int(n: int) -> List[int]:
-    if n == 0:
-        return [1]
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _times(k: int) -> str:
+    return "%d time%s" % (k, "" if k == 1 else "s")
 
 
 def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:
@@ -264,8 +280,8 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]])
     of a decomposition sit inside the coefficient box 0 <= g <= f; the
     box is searched exhaustively, which is feasible at desk scale.
     """
-    table = list(_summand_map(m, summands).items())
-    if not is_m_positive(f, m, table):
+    polys = list(_summand_map(m, summands).values())
+    if not _divides_nonnegatively(f, polys):
         raise ValueError("f is not m-positive, indecomposability is moot")
     box = math.prod(c + 1 for c in f.coeffs)
     if box > _SEARCH_BUDGET:
@@ -276,8 +292,7 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]])
         g = Poly(combo)
         if not g or g == f:
             continue
-        rest = f - g
-        if is_m_positive(g, m, table) and is_m_positive(rest, m, table):
+        if _divides_nonnegatively(g, polys) and _divides_nonnegatively(f - g, polys):
             return False
     return True
 
@@ -287,19 +302,18 @@ def integral_decomposition(total: Poly, m: int,
                            all_candidates: bool = False):
     """Minimal m-positive divisor of total and its twist multiplicities.
 
-    Enumerates the divisors of total over Z, keeps the m-positive ones,
-    and searches them in deterministic preference order (lowest degree
-    first, then largest value at t = 1, then lexicographically smallest
-    coefficients) for one that is not a sum of two m-positive
-    polynomials.  Returns (f, total / f); with all_candidates=True, the
-    list of every minimal candidate of the best degree is returned
-    instead, since minimal divisors need not be unique.
+    total must be c * prod Phi_n^{e_n} (NotDivisible names any other
+    cofactor).  Its m-positive divisors are searched in deterministic
+    preference order (lowest degree first, then largest value at t = 1,
+    then lexicographically smallest coefficients) for one that is not a
+    sum of two m-positive polynomials.  Returns (f, total / f); with
+    all_candidates=True, the list of every minimal candidate of the best
+    degree is returned instead, since minimal divisors need not be unique.
     """
     if not total:
         raise NoDivisor("the zero polynomial has no m-positive divisor")
-    table = list(_summand_map(m, summands).items())
-    candidates = [d for d in _divisors_of(total)
-                  if is_m_positive(d, m, table)]
+    table = _summand_map(m, summands)
+    candidates = _m_positive_divisors(total, table)
     if not candidates:
         raise NoDivisor("no m-positive divisor of the given polynomial")
     candidates.sort(key=lambda f: (f.degree, -f(1), f.coeffs))
@@ -307,7 +321,7 @@ def integral_decomposition(total: Poly, m: int,
     for f in candidates:
         if found and f.degree > found[0].degree:
             break
-        if is_sum_indecomposable(f, m, table):
+        if is_sum_indecomposable(f, m, table.items()):
             found.append(f)
             if not all_candidates:
                 break

@@ -70,6 +70,19 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert err.startswith("error:")
 
+    def test_integral_rejects_non_positive_m(self, capsys):
+        for m in ("0", "-6"):
+            status, out, err = run(capsys, "motive", "integral", "--total", "1,1",
+                                   "--m", m, "--summand", "2:1", "--json")
+            assert (status, out) == (1, "")
+            assert err.startswith("error:")
+
+    def test_integral_rejects_non_cyclotomic_total(self, capsys):
+        status, out, err = run(capsys, "motive", "integral", "--total", "1,3,2",
+                               "--m", "2", "--summand", "2:1", "--json")
+        assert (status, out) == (1, "")
+        assert "1 + 2*t" in err
+
     def test_help_everywhere(self, capsys):
         verbs = [
             ["table", "dump"], ["jinv", "enumerate"], ["jinv", "check"],

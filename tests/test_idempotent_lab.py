@@ -120,6 +120,17 @@ class TestLiftFamily:
         with pytest.raises(NotAFamily):
             lift_orthogonal_family(fam)
 
+    def test_names_the_first_defect(self):
+        e, nil = ((1, 0), (0, 0)), ((0, 1), (0, 0))
+        cases = {
+            "member 0 is not idempotent mod 2": [nil, ((1, 3), (0, 1))],
+            "members 0 and 1 are not orthogonal mod 2": [e, e, ((1, 0), (0, 1))],
+        }
+        for message, rows in cases.items():
+            with pytest.raises(NotAFamily) as exc:
+                lift_orthogonal_family([ModMatrix(4, r) for r in rows])
+            assert str(exc.value) == message
+
 
 class TestLiftIsomorphism:
     def test_exact_inputs_pass_through(self):

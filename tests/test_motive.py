@@ -1,8 +1,13 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
+from jcalc import motive
 from jcalc.errors import (
     MissingPrime,
     NegativeCoefficient,
@@ -10,6 +15,7 @@ from jcalc.errors import (
     NonIntegralRank,
     NotDivisible,
     NotGenericallySplit,
+    SearchBudgetExceeded,
 )
 from jcalc.jinvariant import JInvariant, enumerate_admissible
 from jcalc.kac_table import TorsionData, parse_form, table_rows, torsion_data
@@ -24,7 +30,7 @@ from jcalc.motive import (
     rost_poincare,
     torsion_index_bound,
 )
-from jcalc.polynomial import Poly
+from jcalc.polynomial import Poly, cyclotomic
 from jcalc.root_data import (
     DynkinType,
     poincare_complete_flag,
@@ -203,10 +209,24 @@ class TestMPositive:
         with pytest.raises(MissingPrime):
             is_m_positive(Poly.one(), 6, [(2, S2)])
 
+    def test_non_positive_m_rejected(self):
+        # factorize(m) is empty below 2, which would make every divisor
+        # m-positive for m = 0 or m < 0
+        for m in (0, -6):
+            with pytest.raises(ValueError):
+                is_m_positive(Poly.one(), m, SUMMANDS)
+            with pytest.raises(ValueError):
+                integral_decomposition(Poly([1, 1]), m, [(2, Poly.one())])
+        assert is_m_positive(Poly([1, 1]), 1, [])
+
+    def test_zero_summand_divides_nothing(self):
+        assert not is_m_positive(Poly.one(), 2, [(2, Poly.zero())])
+        with pytest.raises(NoDivisor):
+            integral_decomposition(Poly([1, 1]), 2, [(2, Poly.zero())])
+
     def test_nonnegative_quotients_required(self):
         # lcm of the two summands divides this, but the quotient by 1+t^3
         # has a negative coefficient
-        from jcalc.polynomial import cyclotomic
         lcm = cyclotomic(2) * cyclotomic(3) * cyclotomic(6) * cyclotomic(12)
         assert not is_m_positive(lcm, 6, SUMMANDS)
 
@@ -245,3 +265,143 @@ class TestIntegralDecomposition:
         assert is_sum_indecomposable(S2 * S3, 6, SUMMANDS)
         two_copies = Poly([2]) * Poly.geometric(1, 12)
         assert not is_sum_indecomposable(two_copies, 6, SUMMANDS)
+
+    def test_non_cyclotomic_total_names_its_cofactor(self):
+        # (1 + t)(1 + 2t): Phi_2 comes out, 1 + 2t is no product of Phi_n
+        with pytest.raises(NotDivisible) as exc:
+            integral_decomposition(Poly([1, 3, 2]), 2, [(2, Poly.one())])
+        assert str(exc.value) == "no Phi_n divides the cofactor 1 + 2*t of the total"
+
+    def test_e8_flags_end_before_any_lattice(self):
+        # E8 at m = 30 with generic J: three flags lack a Phi_2 the mod-2
+        # summand needs, and one passes to a coefficient box of ~10^126;
+        # each must end before any divisor lattice is built
+        e8 = parse_form("E8")
+        generic = {2: (3, 2, 1, 1), 3: (1, 1), 5: (1,)}
+        summands = [(p, rost_poincare(torsion_data(e8, p), j)) for p, j in generic.items()]
+        expected = {8: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 1 time"),
+                    1: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 2 times"),
+                    7: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 3 times"),
+                    2: (SearchBudgetExceeded, "coefficient box of ")}
+        for vertex, (error, text) in expected.items():
+            total = poincare_homogeneous(DynkinType("E", 8), set(range(1, 9)) - {vertex})
+            start = time.perf_counter()
+            with pytest.raises(error) as exc:
+                integral_decomposition(total, 30, summands)
+            assert time.perf_counter() - start < 5
+            assert str(exc.value).startswith(text)
+
+
+def _divisors_by_sympy(total):
+    """Every divisor of total over Z with positive leading coefficient,
+    from sympy's factorization: the lattice integral_decomposition
+    filtered before cyclotomic exponent vectors."""
+    t = sympy.Symbol("t")
+    expr = sum(c * t ** i for i, c in enumerate(total.coeffs))
+    content, factors = sympy.factor_list(sympy.Poly(expr, t))
+    content = abs(int(content))
+    ints = [d for d in range(1, content + 1) if content % d == 0]
+    if math.prod(mult + 1 for _base, mult in factors) * len(ints) > motive._SEARCH_BUDGET:
+        raise SearchBudgetExceeded("divisor lattice exceeds budget")
+    divisors = [Poly.one()]
+    for base, mult in factors:
+        base = Poly([int(base.coeff_monomial(t ** i)) for i in range(base.degree() + 1)])
+        powers = [base ** e for e in range(mult + 1)]
+        divisors = [d * power for d in divisors for power in powers]
+    out = {}
+    for d in (d * c for d in divisors for c in ints):
+        d = -d if d.coeffs[-1] < 0 else d
+        out[d.coeffs] = d
+    return list(out.values())
+
+
+def _integral_by_lattice(total, m, summands):
+    """integral_decomposition(..., all_candidates=True) over the sympy lattice."""
+    if not total:
+        raise NoDivisor("the zero polynomial has no m-positive divisor")
+    candidates = sorted((d for d in _divisors_by_sympy(total) if is_m_positive(d, m, summands)),
+                        key=lambda f: (f.degree, -f(1), f.coeffs))
+    found = []
+    for f in candidates:
+        if found and f.degree > found[0].degree:
+            break
+        if motive.is_sum_indecomposable(f, m, summands):
+            found.append(f)
+    if not found:
+        raise NoDivisor("no m-positive divisor, or every one splits as a sum")
+    return [(f, total.exact_div(f)) for f in found]
+
+
+def _integral_outcomes(total, m, summands):
+    """(first, every) from integral_decomposition, each a result or an error class."""
+    outcomes = []
+    for every in (False, True):
+        try:
+            outcomes.append(integral_decomposition(total, m, summands, all_candidates=every))
+        except (NoDivisor, SearchBudgetExceeded) as exc:
+            outcomes.append(type(exc))
+    return tuple(outcomes)
+
+
+def _oracle_outcomes(total, m, summands):
+    try:
+        every = _integral_by_lattice(total, m, summands)
+    except (NoDivisor, SearchBudgetExceeded) as exc:
+        return type(exc), type(exc)
+    return every[0], every
+
+
+def _flag_cases(series, rank, thetas):
+    for theta in thetas:
+        total = poincare_homogeneous(DynkinType(series, rank), set(theta))
+        for m in (2, 3, 6):
+            yield total, m, [(p, s) for p, s in SUMMANDS if m % p == 0]
+
+
+@pytest.fixture
+def box_search_once(monkeypatch):
+    """Both paths send the same candidates to the unchanged box search; run
+    each search once."""
+    search, seen = motive.is_sum_indecomposable, {}
+
+    def cached(f, m, summands):
+        key = (f.coeffs, m, tuple((p, s.coeffs) for p, s in summands))
+        if key not in seen:
+            seen[key] = search(f, m, summands)
+        return seen[key]
+
+    monkeypatch.setattr(motive, "is_sum_indecomposable", cached)
+
+
+def test_integral_matches_sympy_lattice_on_flags(box_search_once):
+    # every theta of G2 and F4, and a seeded sample of E6, at m = 2, 3, 6
+    def thetas(rank):
+        return [c for r in range(rank + 1) for c in itertools.combinations(range(1, rank + 1), r)]
+
+    cases = (list(_flag_cases("G", 2, thetas(2))) + list(_flag_cases("F", 4, thetas(4)))
+             + list(_flag_cases("E", 6, random.Random(9).sample(thetas(6), 6))))
+    outcomes = [_integral_outcomes(*case) for case in cases]
+    assert outcomes == [_oracle_outcomes(*case) for case in cases]
+    assert NoDivisor in {first for first, _every in outcomes}
+    assert any(isinstance(every, list) and len(every) > 1 for _first, every in outcomes)
+
+
+@settings(max_examples=60, deadline=None)
+@example({2: 1, 6: 1}, 2, 2, 2)
+@given(st.dictionaries(st.integers(1, 12), st.integers(1, 2), max_size=4),
+       st.integers(1, 6), st.sampled_from([2, 3, 6]), st.sampled_from([1, 2]))
+def test_integral_matches_sympy_lattice_on_cyclotomic_products(exponents, content, m,
+                                                              summand_content):
+    # c * prod Phi_n^{e_n}, Phi_1 and contents above 1 included; a summand
+    # with content 2 makes the content's divisors decide the answer
+    total = Poly([content])
+    for n, e in exponents.items():
+        total = total * cyclotomic(n) ** e
+    summands = [(p, s * summand_content) for p, s in SUMMANDS if m % p == 0]
+    # keep each coefficient-box search small; both paths share that check
+    original = motive._SEARCH_BUDGET
+    motive._SEARCH_BUDGET = 2 ** 10
+    try:
+        assert _integral_outcomes(total, m, summands) == _oracle_outcomes(total, m, summands)
+    finally:
+        motive._SEARCH_BUDGET = original
