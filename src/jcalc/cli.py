@@ -122,10 +122,12 @@ def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_jinv_check(args) -> Tuple[object, List[str]]:
-    form = parse_form(args.form)
-    ok = is_admissible(_int_list(args.j), form, args.p)
-    payload = {"form": form.name, "p": args.p, "j": list(_int_list(args.j)),
-               "admissible": ok}
+    form, j = parse_form(args.form), _int_list(args.j)
+    try:
+        ok = is_admissible(j, form, args.p)
+    except ValueError as exc:  # a non-prime --p or a --j entry outside 0..k_i
+        raise ParseError(str(exc)) from exc
+    payload = {"form": form.name, "p": args.p, "j": list(j), "admissible": ok}
     return payload, ["admissible" if ok else "not admissible"]
 
 

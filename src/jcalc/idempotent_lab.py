@@ -14,6 +14,7 @@ returning; nothing is approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,10 +88,7 @@ class ModMatrix:
             for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        self._check(other)
-        return ModMatrix(self.modulus, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "ModMatrix":
         return ModMatrix(self.modulus, tuple(tuple(-a for a in row) for row in self.entries))
@@ -314,8 +312,7 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
     p, n_exp = _require_prime_power(mod)
     size = phi1.size
     for m in (phi2, psi12, psi21):
-        if m.modulus != mod or m.size != size:
-            raise ValueError("matrix shape or modulus mismatch")
+        phi1._check(m)
     if not phi1.is_idempotent:
         raise HypothesisViolated("phi1 is not idempotent")
     if not phi2.is_idempotent:
@@ -427,27 +424,15 @@ def crt_split(m: int) -> CrtSplitting:
 # SL lifting through elementary matrices
 # ---------------------------------------------------------------------------
 
-def _unit_mod(x: int, m: int) -> bool:
-    from math import gcd
-    return gcd(x % m, m) == 1
-
-
-def sl_lift(matrix: ModMatrix) -> IntMatrix:
-    """Integer matrix with determinant exactly 1 reducing to the input.
-
-    Requires det = 1 mod m.  The matrix is driven to the identity over
-    Z/m using only transvections (row additions), which is possible
-    because Z/m is semi-local: a unit pivot is always reachable by a CRT
-    combination of rows.  The recorded word of elementary matrices is
-    then lifted letter by letter to Z with canonical representatives,
-    giving determinant exactly 1.
+def _transvection_word(matrix: ModMatrix) -> List[Tuple[int, int, int]]:
+    """Row additions (i, j, a), row_i += a * row_j in this order, that
+    drive a determinant-1 matrix to the identity over Z/m: Z/m is
+    semi-local, so a CRT combination of rows always reaches a unit pivot.
     """
     m = matrix.modulus
     size = matrix.size
-    if matrix.det() != 1 % m:
-        raise DeterminantNotOne("determinant is %d mod %d" % (matrix.det(), m))
     work = [list(row) for row in matrix.entries]
-    ops: List[Tuple[int, int, int]] = []  # row_i += a * row_j
+    ops: List[Tuple[int, int, int]] = []
 
     def apply(i: int, j: int, a: int) -> None:
         a %= m
@@ -478,7 +463,7 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
     def make_pivot_one(c: int) -> None:
         if work[c][c] % m == 1:
             return
-        helper = next((r for r in range(c + 1, size) if _unit_mod(work[r][c], m)), None)
+        helper = next((r for r in range(c + 1, size) if math.gcd(work[r][c], m) == 1), None)
         if helper is None:
             # drive some lower entry to 1 using the unit pivot itself
             helper = c + 1
@@ -503,13 +488,28 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
             apply(r, last, -work[r][last])
     if work != [list(row) for row in ModMatrix.identity(m, size).entries]:
         raise InternalInconsistency("elimination did not reach the identity")
+    return ops
+
+
+def sl_lift(matrix: ModMatrix) -> IntMatrix:
+    """Integer matrix with determinant exactly 1 reducing to the input.
+
+    Requires det = 1 mod m.  The matrix is driven to the identity over
+    Z/m by _transvection_word, and that word of elementary matrices is
+    then lifted letter by letter to Z with canonical representatives,
+    giving determinant exactly 1.
+    """
+    m = matrix.modulus
+    size = matrix.size
+    if matrix.det() != 1 % m:
+        raise DeterminantNotOne("determinant is %d mod %d" % (matrix.det(), m))
 
     # T_s ... T_1 M = I over Z/m, so M itself is the word
     # E(b_1) ... E(b_s) with b_t = -a_t; lift each letter with its canonical
     # representative and multiply over Z.  Right-multiplying by I + b E_{ij}
     # is the column operation col_j += b col_i.
     lifted = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for i, j, a in ops:
+    for i, j, a in _transvection_word(matrix):
         b = (-a) % m
         for r in range(size):
             lifted[r][j] += b * lifted[r][i]
@@ -521,38 +521,23 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
     return out
 
 
+def mod_inverse(matrix: ModMatrix) -> ModMatrix:
+    """Inverse over Z/m.  Scaling the first row by det^-1 (the matrix S)
+    gives S M determinant 1; its transvection word T_s ... T_1 is
+    (S M)^-1, so replaying the word on S gives M^-1."""
+    m, det = matrix.modulus, matrix.det()
+    if math.gcd(det, m) != 1:
+        raise HypothesisViolated("matrix is not invertible mod %d" % m)
+    rows = [[pow(det, -1, m) if i == j == 0 else int(i == j) for j in range(matrix.size)]
+            for i in range(matrix.size)]
+    for i, j, a in _transvection_word(ModMatrix(m, rows) * matrix):
+        rows[i] = [x + a * y for x, y in zip(rows[i], rows[j])]
+    return ModMatrix(m, rows)
+
+
 # ---------------------------------------------------------------------------
 # Instance generators for demos and randomized verification
 # ---------------------------------------------------------------------------
-
-def _prime_power_inverse(matrix: ModMatrix) -> ModMatrix:
-    """Gauss-Jordan over Z/p^e, where units are exactly non-residues of p."""
-    n, mod = matrix.size, matrix.modulus
-    p = prime_power(mod)[0]
-    work = [list(row) + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(matrix.entries)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] % p), None)
-        if pivot is None:
-            raise HypothesisViolated("matrix is not invertible mod %d" % mod)
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = pow(work[c][c], -1, mod)
-        work[c] = [(x * inv) % mod for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c]:
-                coef = work[r][c]
-                work[r] = [(x - coef * y) % mod for x, y in zip(work[r], work[c])]
-    return ModMatrix(mod, tuple(tuple(row[n:]) for row in work))
-
-
-def mod_inverse(matrix: ModMatrix) -> ModMatrix:
-    """Inverse over Z/m, via the prime-power factors and CRT transport."""
-    if prime_power(matrix.modulus) is not None:
-        return _prime_power_inverse(matrix)
-    splitting = crt_split(matrix.modulus)
-    return splitting.combine([_prime_power_inverse(part)
-                              for part in splitting.split(matrix)])
-
 
 def random_unimodular(rng, modulus: int, size: int) -> ModMatrix:
     """Random product of 3 * size transvections; determinant 1 by construction."""

@@ -28,14 +28,7 @@ def factorize(n: int) -> List[Tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def prime_power(m: int) -> Optional[Tuple[int, int]]:
@@ -46,6 +39,8 @@ def prime_power(m: int) -> Optional[Tuple[int, int]]:
 
 def padic_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer n."""
+    if p < 2:
+        raise ValueError("the valuation needs p >= 2, got %d" % p)
     if n == 0:
         raise ValueError("the p-adic valuation of 0 is infinite")
     v = 0

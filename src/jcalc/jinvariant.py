@@ -99,24 +99,13 @@ def rule_holds(rule: ConstraintRule, j: Sequence[int], p: int) -> bool:
 def is_admissible(J: JLike, form: GroupForm, p: int = None) -> bool:
     """Does the candidate satisfy every constraint of its table row?"""
     if isinstance(J, JInvariant):
-        data = J.data
-        if p is not None and p != data.p:
-            raise ContextMismatch("p = %d but J lives at p = %d" % (p, data.p))
-        p = data.p
-        expected = torsion_data(form, p)
-        if expected != data:
-            raise ContextMismatch("J context %r is not the row of %s at p = %d"
-                                  % (data, form, p))
-        j = J.j
-    else:
-        if p is None:
-            raise ValueError("a prime is required when J is a bare tuple")
-        j = tuple(J)
-        data = torsion_data(form, p)
-        if len(j) != data.r:
-            raise ContextMismatch("tuple of length %d for a row with r = %d"
-                                  % (len(j), data.r))
-    return all(rule_holds(rule, j, p) for rule in constraint_rules(form, p))
+        if p is not None and p != J.p:
+            raise ContextMismatch("p = %d but J lives at p = %d" % (p, J.p))
+        p = J.p
+    elif p is None:
+        raise ValueError("a prime is required when J is a bare tuple")
+    J = as_jinvariant(torsion_data(form, p), J)
+    return all(rule_holds(rule, J.j, p) for rule in constraint_rules(form, p))
 
 
 _BOX_BUDGET = 10 ** 6

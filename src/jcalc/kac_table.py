@@ -23,6 +23,7 @@ then agrees with the SL/mu description of the same group).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -82,19 +83,9 @@ class GroupForm:
             raise UnsupportedForm(
                 "half-spin forms need even D rank, got %s" % (self.base,))
 
-    # -- convenience constructors --------------------------------------
-
-    @classmethod
-    def simply_connected(cls, base: DynkinType) -> "GroupForm":
-        return cls(base, "sc")
-
     @classmethod
     def adjoint(cls, base: DynkinType) -> "GroupForm":
         return cls(base, "ad")
-
-    @classmethod
-    def sl_mod_mu(cls, rank: int, mu: int) -> "GroupForm":
-        return cls(DynkinType("A", rank), "slmu", mu)
 
     @property
     def quadratic_dimension(self) -> int:
@@ -126,6 +117,12 @@ class GroupForm:
 
 _FORM_SUFFIXES = ("halfspin", "pgsp", "spin", "pgo", "so", "sc", "ad", "hs")
 
+# Classical aliases: a prefix that is also the isogeny tag (but for sl
+# and pgl), the dimension n, then "mu" and whatever follows it (int()
+# judges that text, as it does a Dynkin "mu" tag).
+_CLASSICAL = re.compile(r"(halfspin|pgsp|spin|pgo|pgl|so|sl|sp)(\d+)(?:mu(.*))?", re.DOTALL)
+_DYNKIN = re.compile(r"([A-Ga-g])(\d+)(.*)", re.DOTALL)
+
 
 def parse_form(text: str) -> GroupForm:
     """Parse a compact form name such as E7sc, A4mu5, D6halfspin or Spin11.
@@ -134,49 +131,29 @@ def parse_form(text: str) -> GroupForm:
     PGSpn (n the dimension of the defining representation) are accepted.
     """
     raw = text.strip()
-    low = raw.lower()
-    classical = [("halfspin", "D", "halfspin"), ("pgsp", "C", "pgsp"),
-                 ("spin", None, "spin"), ("pgo", "D", "pgo"), ("pgl", "A", "ad"),
-                 ("so", None, "so"), ("sl", "A", "slmu"), ("sp", "C", "sc")]
-    for prefix, _series, isogeny in classical:
-        if low.startswith(prefix) and low[len(prefix):].split("mu")[0].isdigit():
-            rest = low[len(prefix):]
-            mu = 1
-            if "mu" in rest:
-                rest, mu_text = rest.split("mu", 1)
-                mu = int(mu_text)
-            n = int(rest)
-            if mu != 1 and prefix != "sl":
-                raise UnsupportedForm("mu only applies to SL forms")
-            if prefix in ("sl", "pgl"):
-                rank = n - 1
-                mu = n if prefix == "pgl" else mu
-                return GroupForm(DynkinType("A", rank), "slmu", mu)
-            if prefix in ("sp", "pgsp"):
-                if n % 2:
-                    raise UnsupportedForm("symplectic dimension must be even")
-                return GroupForm(DynkinType("C", n // 2), isogeny)
-            series_letter = "B" if n % 2 else "D"
-            return GroupForm(DynkinType(series_letter, (n - 1) // 2 if n % 2 else n // 2),
-                             isogeny)
-    head = raw[:1].upper()
-    rest = raw[1:]
-    digits = ""
-    while rest and rest[0].isdigit():
-        digits += rest[0]
-        rest = rest[1:]
-    if head not in "ABCDEFG" or not digits:
+    match = _CLASSICAL.fullmatch(raw.lower())
+    if match:
+        prefix, n, mu_text = match.group(1), int(match.group(2)), match.group(3)
+        mu = 1 if mu_text is None else int(mu_text)
+        if mu != 1 and prefix != "sl":
+            raise UnsupportedForm("mu only applies to SL forms")
+        if prefix in ("sl", "pgl"):
+            return GroupForm(DynkinType("A", n - 1), "slmu", n if prefix == "pgl" else mu)
+        if prefix in ("sp", "pgsp"):
+            if n % 2:
+                raise UnsupportedForm("symplectic dimension must be even")
+            return GroupForm(DynkinType("C", n // 2), prefix)
+        base = DynkinType("B", (n - 1) // 2) if n % 2 else DynkinType("D", n // 2)
+        return GroupForm(base, prefix)
+    match = _DYNKIN.fullmatch(raw)
+    if not match:
         raise UnsupportedForm("cannot parse form %r" % (text,))
-    base = DynkinType(head, int(digits))
-    tag = rest.strip().lower()
-    if not tag:
-        return GroupForm.simply_connected(base)
+    base = DynkinType(match.group(1).upper(), int(match.group(2)))
+    tag = match.group(3).strip().lower()
     if tag.startswith("mu"):
         return GroupForm(base, "slmu", int(tag[2:]))
-    if tag == "ad":
-        return GroupForm.adjoint(base)
-    if tag in _FORM_SUFFIXES:
-        return GroupForm(base, tag)
+    if tag in _FORM_SUFFIXES or not tag:
+        return GroupForm(base, tag or "sc")
     raise UnsupportedForm("cannot parse form %r" % (text,))
 
 
@@ -340,8 +317,7 @@ def _halfspin_row(n: int) -> Row:
 
 
 def _log2_floor(x: int) -> int:
-    if x < 1:
-        return -1
+    """floor(log2 x) for x >= 1, and -1 for x = 0."""
     return x.bit_length() - 1
 
 
@@ -382,11 +358,19 @@ def spin_torsion_data(n: int) -> TorsionData:
     return TorsionData(2, d, k)
 
 
-def _row(form: GroupForm, p: int) -> Optional[Row]:
+_NO_ROW: Row = ((), (), ())
+
+
+def _row(form: GroupForm, p: int) -> Row:
+    """The (d, k, rules) of the (form, p) row, _NO_ROW off the table."""
+    if not isinstance(form, GroupForm):
+        raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
+    if not is_prime(p):
+        raise ValueError("p = %r is not prime" % (p,))
     s, rank = form.base.series, form.base.rank
     if s == "A":
         if form.mu % p != 0:
-            return None
+            return _NO_ROW
         n = rank + 1
         k1 = padic_valuation(n, p)
         if k1 == 0:
@@ -394,55 +378,38 @@ def _row(form: GroupForm, p: int) -> Optional[Row]:
         return ((1,), (k1,), ())
     if s == "C":
         if form.isogeny != "pgsp" or p != 2:
-            return None
+            return _NO_ROW
         return ((1,), (padic_valuation(2 * rank, 2),), ())
     if s in ("B", "D"):
         if p != 2:
-            return None
-        n = form.quadratic_dimension
+            return _NO_ROW
         if form.isogeny == "so":
-            row = _so_row(n)
-        elif form.isogeny == "spin":
-            row = _spin_row(n)
-        elif form.isogeny == "pgo":
-            row = _pgo_row(rank)
-        else:
-            row = _halfspin_row(rank)
-        return row if row[0] else None
+            return _so_row(form.quadratic_dimension)
+        if form.isogeny == "spin":
+            return _spin_row(form.quadratic_dimension)
+        return (_pgo_row if form.isogeny == "pgo" else _halfspin_row)(rank)
     # E, F, G: a row keyed by the form's name, else one both isogenies share
     return (_EXCEPTIONAL_ROWS.get((form.name, p))
-            or _EXCEPTIONAL_ROWS.get((str(form.base), p)))
+            or _EXCEPTIONAL_ROWS.get((str(form.base), p), _NO_ROW))
 
 
 def torsion_primes(form: GroupForm) -> List[int]:
-    """Primes p for which the form has a nontrivial table row."""
-    if not isinstance(form, GroupForm):
-        raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
-    candidates = [2, 3, 5]
-    if form.base.series == "A":
-        candidates = [p for p, _e in factorize(form.mu)]
-    return [p for p in candidates if _row(form, p) is not None]
+    """Primes p for which the form has a nontrivial table row: those of
+    mu in the A series, else among 2, 3 and 5 (mu is 1 off the A series;
+    _row rejects anything but a GroupForm)."""
+    return [p for p, _e in factorize(30 * getattr(form, "mu", 1))
+            if _row(form, p)[0]]
 
 
 def torsion_data(form: GroupForm, p: int) -> TorsionData:
     """The (r, d, k) data of the (form, p) table row; r = 0 off-table."""
-    if not isinstance(form, GroupForm):
-        raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
-    if not is_prime(p):
-        raise ValueError("p = %r is not prime" % (p,))
-    row = _row(form, p)
-    if row is None:
-        return TorsionData(p, (), ())
-    d, k, _rules = row
+    d, k, _rules = _row(form, p)
     return TorsionData(p, d, k)
 
 
 def constraint_rules(form: GroupForm, p: int) -> Tuple[ConstraintRule, ...]:
     """The constraint set of the (form, p) row, gates left symbolic."""
-    if not isinstance(form, GroupForm):
-        raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
-    row = _row(form, p)
-    return row[2] if row is not None else ()
+    return _row(form, p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +422,7 @@ def classical_forms(max_rank: int) -> Iterator[GroupForm]:
         n = rank + 1
         for mu in range(2, n + 1):
             if n % mu == 0:
-                yield GroupForm.sl_mod_mu(rank, mu)
+                yield GroupForm(DynkinType("A", rank), "slmu", mu)
     for rank in range(1, max_rank + 1):
         yield GroupForm(DynkinType("C", rank), "pgsp")
     for rank in range(1, max_rank + 1):

@@ -32,7 +32,7 @@ from .errors import (
     NotGenericallySplit,
     SearchBudgetExceeded,
 )
-from .integers import factorize
+from .integers import factorize, is_prime
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
 from .polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
@@ -193,6 +193,9 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
 
 # Largest divisor sub-box or coefficient box an exhaustive search may cover.
 _SEARCH_BUDGET = 2 ** 22
+# Largest worst-case coefficient work, sum phi(n) * deg f, of factoring
+# f into cyclotomic polynomials; an E8 complete flag (degree 120) needs 1.8M.
+_DIVISION_BUDGET = 2 ** 22
 
 
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
@@ -220,24 +223,43 @@ def is_m_positive(g: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool
     return _divides_nonnegatively(g, _summand_map(m, summands).values())
 
 
+def _totients(D: int) -> List[Tuple[int, int]]:
+    """Every (n, phi(n)) with phi(n) <= D, n increasing.  phi is
+    multiplicative and phi(q^k) >= q - 1, so each such n is a product of
+    powers of primes q <= D + 1; no n is factorized."""
+    pairs = [(1, 1)] if D >= 1 else []
+    for q in filter(is_prime, range(2, D + 2)):
+        for n, phi in list(pairs):
+            qk, t = q, phi * (q - 1)
+            while t <= D:
+                pairs.append((n * qk, t))
+                qk, t = qk * q, t * q
+    return sorted(pairs)
+
+
 def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Tuple[int, ...]]:
     """(c, e) with the nonzero f = c * prod Phi_n^{e_n}, by exact division
-    by each Phi_n with phi(n) <= the remaining degree D; phi(n) >= sqrt(n)
-    for n > 6, so no n beyond max(6, D^2) can divide.  NotDivisible names
-    a cofactor that no Phi_n divides."""
+    by each Phi_n with phi(n) <= the remaining degree.  Before the first
+    division, the worst case of that trial division, sum phi(n) * D over
+    phi(n) <= D = deg f, is checked against _DIVISION_BUDGET.
+    NotDivisible names a cofactor that no Phi_n divides."""
+    candidates = _totients(f.degree)
+    work = f.degree * sum(t for _n, t in candidates)
+    if work > _DIVISION_BUDGET:
+        raise SearchBudgetExceeded("dividing %s by each Phi_n with phi(n) <= %d costs %d, "
+                                   "over budget %d" % (name, f.degree, work, _DIVISION_BUDGET))
     e: List[int] = []
-    while f.degree > 0:
-        n = len(e) + 1
-        if n > max(6, f.degree ** 2):
-            raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (f, name))
-        e.append(0)
-        if math.prod((q - 1) * q ** (k - 1) for q, k in factorize(n)) <= f.degree:
+    for n, t in candidates:
+        if t <= f.degree:
+            e += [0] * (n - len(e))
             try:
                 while True:
                     f = f.exact_div(cyclotomic(n))
                     e[-1] += 1
             except NotDivisible:
                 pass
+    if f.degree > 0:
+        raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (f, name))
     return f[0], tuple(e)
 
 

@@ -9,6 +9,7 @@ from jcalc.cli import build_parser, execute
 from jcalc.jinvariant import enumerate_admissible
 from jcalc.kac_table import expand_table, parse_form
 from jcalc.motive import decompose
+from jcalc.polynomial import Poly, cyclotomic
 from jcalc.root_data import DynkinType, poincare_homogeneous
 
 
@@ -70,6 +71,14 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert err.startswith("error:")
 
+    def test_jinv_check_rejects_values_outside_the_row(self, capsys):
+        # j outside 0..k_1, a negative j, and a non-prime --p
+        for p, j in (("5", "7"), ("5", "-3"), ("4", "1")):
+            status, out, err = run(capsys, "jinv", "check", "--form", "E8", "--p", p,
+                                   "--j", j, "--json")
+            assert (status, out) == (1, "")
+            assert err.startswith("error:")
+
     def test_integral_rejects_non_positive_m(self, capsys):
         for m in ("0", "-6"):
             status, out, err = run(capsys, "motive", "integral", "--total", "1,1",
@@ -82,6 +91,13 @@ class TestExitCodes:
                                "--m", "2", "--summand", "2:1", "--json")
         assert (status, out) == (1, "")
         assert "1 + 2*t" in err
+
+    def test_integral_refuses_costly_trial_division(self, capsys):
+        total = Poly([1, 3, 1]) ** 150 * cyclotomic(30)
+        status, out, err = run(capsys, "motive", "integral", "--m", "2", "--summand", "2:1",
+                               "--total", ",".join(str(c) for c in total.coeffs), "--json")
+        assert (status, out) == (1, "")
+        assert "budget" in err
 
     def test_help_everywhere(self, capsys):
         verbs = [

@@ -24,6 +24,7 @@ from jcalc.idempotent_lab import (
     random_unimodular,
     sl_lift,
 )
+from jcalc.integers import prime_power
 
 
 def all_idempotents(modulus, size):
@@ -33,6 +34,36 @@ def all_idempotents(modulus, size):
                                      for i in range(size)))
         if m.is_idempotent:
             yield m
+
+
+def old_prime_power_inverse(matrix):
+    """Gauss-Jordan over Z/p^e, where units are exactly non-residues of p."""
+    n, mod = matrix.size, matrix.modulus
+    p = prime_power(mod)[0]
+    work = [list(row) + [1 if i == j else 0 for j in range(n)]
+            for i, row in enumerate(matrix.entries)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if work[r][c] % p), None)
+        if pivot is None:
+            raise HypothesisViolated("matrix is not invertible mod %d" % mod)
+        work[c], work[pivot] = work[pivot], work[c]
+        inv = pow(work[c][c], -1, mod)
+        work[c] = [(x * inv) % mod for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                coef = work[r][c]
+                work[r] = [(x - coef * y) % mod for x, y in zip(work[r], work[c])]
+    return ModMatrix(mod, tuple(tuple(row[n:]) for row in work))
+
+
+def old_mod_inverse(matrix):
+    """The inverse through the prime-power factors and CRT transport that
+    the one transvection elimination replaced."""
+    if prime_power(matrix.modulus) is not None:
+        return old_prime_power_inverse(matrix)
+    splitting = crt_split(matrix.modulus)
+    return splitting.combine([old_prime_power_inverse(part)
+                              for part in splitting.split(matrix)])
 
 
 class TestModMatrix:
@@ -59,6 +90,25 @@ class TestModMatrix:
         for _ in range(25):
             u = random_unimodular(rng, 12, 3)
             assert u * mod_inverse(u) == ModMatrix.identity(12, 3)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9, 25, 27, 6, 10, 12, 30, 36, 60, 210])
+    def test_mod_inverse_matches_prime_power_gauss_jordan(self, modulus):
+        rng = random.Random(modulus)
+        singular = 0
+        for trial in range(150):
+            size = trial % 5
+            mat = ModMatrix(modulus, tuple(tuple(rng.randrange(modulus) for _ in range(size))
+                                           for _ in range(size)))
+            try:
+                expected = old_mod_inverse(mat)
+            except HypothesisViolated:
+                singular += 1
+                with pytest.raises(HypothesisViolated):
+                    mod_inverse(mat)
+                continue
+            assert mod_inverse(mat) == expected
+            assert mat * expected == ModMatrix.identity(modulus, size)
+        assert singular > 0
 
 
 class TestLiftIdempotent:

@@ -55,6 +55,12 @@ def test_padic_valuation_of_zero_is_rejected():
         padic_valuation(0, 2)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_padic_valuation_needs_p_at_least_two(p):
+    with pytest.raises(ValueError):
+        padic_valuation(5, p)
+
+
 square = st.integers(min_value=1, max_value=3).flatmap(
     lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
                        min_size=n, max_size=n))

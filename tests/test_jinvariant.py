@@ -61,6 +61,19 @@ class TestAdmissibility:
         assert not is_admissible((3, 1, 1, 1), parse_form("E8"), 2)
         assert is_admissible((3, 2, 1, 1), parse_form("E8"), 2)
 
+    def test_bare_tuple_is_range_checked(self):
+        e7sc = parse_form("E7sc")
+        for j in ((5, 5, 5), (1, 1, 2), (-1, 0, 0)):
+            with pytest.raises(ValueError):
+                is_admissible(j, e7sc, 2)
+        for j in ((7,), (-3,)):
+            with pytest.raises(ValueError):
+                is_admissible(j, parse_form("E8"), 5)
+        with pytest.raises(ValueError):
+            is_admissible((1,), parse_form("E8"), 4)
+        with pytest.raises(ContextMismatch):
+            is_admissible((1, 1), parse_form("E8"), 5)
+
     def test_jinvariant_object_input(self):
         assert is_admissible(J("E7sc", 2, (1, 1, 1)), parse_form("E7sc"))
         with pytest.raises(ContextMismatch):

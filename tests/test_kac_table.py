@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcalc.errors import UnsupportedForm
 from jcalc.kac_table import (
+    _FORM_SUFFIXES,
     GroupForm,
     TorsionData,
     constraint_rules,
@@ -191,3 +194,104 @@ def test_torsion_data_rejects_bad_inputs():
         TorsionData(2, (3, 1), (1, 1))  # not nondecreasing
     with pytest.raises(ValueError):
         TorsionData(2, (3,), (0,))  # trivial generator
+
+
+@pytest.mark.parametrize("lookup", [torsion_data, constraint_rules])
+@pytest.mark.parametrize("p", [1, 4, 0, -2])
+def test_every_lookup_rejects_a_non_prime(lookup, p):
+    # constraint_rules(A3ad, 1) once looped in padic_valuation, and (form, 4)
+    # returned no rules
+    for name in ("A3ad", "E8", "Spin11"):
+        with pytest.raises(ValueError):
+            lookup(parse_form(name), p)
+
+
+@pytest.mark.parametrize("lookup", [torsion_primes, lambda form: torsion_data(form, 2),
+                                    lambda form: constraint_rules(form, 2)])
+def test_every_lookup_rejects_a_non_form(lookup):
+    for form in ("E8", None, DynkinType("E", 8)):
+        with pytest.raises(UnsupportedForm):
+            lookup(form)
+
+
+# ---------------------------------------------------------------------------
+# The hand-written parser that the two regular expressions replaced
+# ---------------------------------------------------------------------------
+
+def old_parse_form(text):
+    raw = text.strip()
+    low = raw.lower()
+    classical = [("halfspin", "D", "halfspin"), ("pgsp", "C", "pgsp"),
+                 ("spin", None, "spin"), ("pgo", "D", "pgo"), ("pgl", "A", "ad"),
+                 ("so", None, "so"), ("sl", "A", "slmu"), ("sp", "C", "sc")]
+    for prefix, _series, isogeny in classical:
+        if low.startswith(prefix) and low[len(prefix):].split("mu")[0].isdigit():
+            rest = low[len(prefix):]
+            mu = 1
+            if "mu" in rest:
+                rest, mu_text = rest.split("mu", 1)
+                mu = int(mu_text)
+            n = int(rest)
+            if mu != 1 and prefix != "sl":
+                raise UnsupportedForm("mu only applies to SL forms")
+            if prefix in ("sl", "pgl"):
+                rank = n - 1
+                mu = n if prefix == "pgl" else mu
+                return GroupForm(DynkinType("A", rank), "slmu", mu)
+            if prefix in ("sp", "pgsp"):
+                if n % 2:
+                    raise UnsupportedForm("symplectic dimension must be even")
+                return GroupForm(DynkinType("C", n // 2), isogeny)
+            series_letter = "B" if n % 2 else "D"
+            return GroupForm(DynkinType(series_letter, (n - 1) // 2 if n % 2 else n // 2),
+                             isogeny)
+    head = raw[:1].upper()
+    rest = raw[1:]
+    digits = ""
+    while rest and rest[0].isdigit():
+        digits += rest[0]
+        rest = rest[1:]
+    if head not in "ABCDEFG" or not digits:
+        raise UnsupportedForm("cannot parse form %r" % (text,))
+    base = DynkinType(head, int(digits))
+    tag = rest.strip().lower()
+    if not tag:
+        return GroupForm(base, "sc")
+    if tag.startswith("mu"):
+        return GroupForm(base, "slmu", int(tag[2:]))
+    if tag == "ad":
+        return GroupForm.adjoint(base)
+    if tag in _FORM_SUFFIXES:
+        return GroupForm(base, tag)
+    raise UnsupportedForm("cannot parse form %r" % (text,))
+
+
+def _outcome(parse, text):
+    """The parsed form, or the class of the exception raised instead."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the classes themselves are compared
+        return type(exc)
+
+
+FORM_TOKENS = ["sl", "SL", "pgl", "so", "SO", "spin", "Spin", "halfspin", "HalfSpin",
+               "hs", "pgo", "sp", "Sp", "pgsp", "sc", "ad", "mu", "MU", "A", "a", "B",
+               "C", "D", "d", "E", "e", "F", "G", "H", "x", " ", "+", "-", "_"]
+DIGIT_TOKENS = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "12", "16"]
+
+
+def test_parse_form_matches_old_parser_on_short_token_strings():
+    # every string of up to three tokens, then every token + digits + token + digits
+    tokens = FORM_TOKENS + DIGIT_TOKENS
+    texts = ["".join(word) for size in range(4) for word in itertools.product(tokens, repeat=size)]
+    texts += ["".join(word) for word in itertools.product(
+        FORM_TOKENS, DIGIT_TOKENS, ["mu", "MU", "ad", "sc", " mu", "mu "], DIGIT_TOKENS + [""])]
+    differ = [t for t in texts if _outcome(parse_form, t) != _outcome(old_parse_form, t)]
+    assert differ == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(FORM_TOKENS + DIGIT_TOKENS + DIGIT_TOKENS), max_size=7))
+def test_parse_form_matches_old_parser_on_token_strings(word):
+    text = "".join(word)
+    assert _outcome(parse_form, text) == _outcome(old_parse_form, text)

@@ -30,11 +30,13 @@ from jcalc.motive import (
     rost_poincare,
     torsion_index_bound,
 )
-from jcalc.polynomial import Poly, cyclotomic
+from jcalc.integers import factorize
+from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents
 from jcalc.root_data import (
     DynkinType,
     poincare_complete_flag,
     poincare_homogeneous,
+    weyl_degrees,
     weyl_order,
 )
 
@@ -290,6 +292,34 @@ class TestIntegralDecomposition:
                 integral_decomposition(total, 30, summands)
             assert time.perf_counter() - start < 5
             assert str(exc.value).startswith(text)
+
+
+    def test_costly_trial_division_is_refused_first(self):
+        # (1 + 3t + t^2)^150 * Phi_30, degree 308: trial division by the
+        # 590 Phi_n with phi(n) <= 308 would cost 27.6M coefficient steps
+        total = Poly([1, 3, 1]) ** 150 * cyclotomic(30)
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            integral_decomposition(total, 2, [(2, Poly.one())])
+        assert time.perf_counter() - start < 1
+        assert "costs 27606656, over budget" in str(exc.value)
+
+
+def test_cyclotomic_factors_of_the_largest_flag_fit_the_budget():
+    # the E8 complete flag, degree 120, costs 1.81M of the 4.19M
+    e8 = DynkinType("E", 8)
+    degrees = (weyl_degrees(e8), (1,) * 8)
+    assert motive._cyclotomic_factors(poincare_complete_flag(e8), "E8") == (
+        1, cyclotomic_exponents(*degrees))
+
+
+@pytest.mark.parametrize("D", [-1, 0, 1, 2, 6, 7, 30, 61])
+def test_totients_are_every_n_with_small_phi(D):
+    def phi(n):
+        return math.prod((q - 1) * q ** (k - 1) for q, k in factorize(n))
+    # phi(n) >= sqrt(n) for n > 6 bounds the brute-force search
+    brute = [(n, phi(n)) for n in range(1, max(6, D * D) + 1) if phi(n) <= D]
+    assert motive._totients(D) == brute
 
 
 def _divisors_by_sympy(total):
