@@ -27,7 +27,9 @@ def main() -> int:
 
     print("rows checked:        %d" % report.rows)
     print("(J, theta) cases:    %d" % report.cases)
-    print("distinct checks:     %d" % report.divisions)
+    print("distinct checks:     %d  (summed over rows)" % report.divisions)
+    print("verdicts computed:   %d  (distinct over the sweep)" % report.verdicts)
+    print("certified unbuilt:   %d  (by geometric pairing)" % report.certified)
     print("elapsed:             %.2f s" % elapsed)
     if report.failures:
         print("FAILURES: %d" % len(report.failures))

@@ -154,6 +154,34 @@ def twist_multiplicities(summand: Degrees, total: Degrees,
     return quotient
 
 
+def _geometric_pairing(num: Iterable[int], den: Iterable[int]) -> bool:
+    """Is prod (1 - t^a) / prod (1 - t^b) a product of geometric sums
+    (1 - t^a) / (1 - t^b) = 1 + t^b + ... + t^(a - b) with b | a?
+
+    Common degrees cancel; then each remaining b, largest first, takes the
+    first remaining a that it divides.  True proves the ratio a polynomial
+    with nonnegative coefficients.  False proves nothing: the greedy
+    matching can miss, and a ratio without one can still be nonnegative.
+    """
+    tops, bottoms = list(num), []
+    for b in den:
+        if b in tops:
+            tops.remove(b)
+        else:
+            bottoms.append(b)
+    if len(tops) != len(bottoms):
+        return False
+    tops.sort()
+    for b in sorted(bottoms, reverse=True):
+        for i, a in enumerate(tops):
+            if a % b == 0:
+                del tops[i]
+                break
+        else:
+            return False
+    return True
+
+
 def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
               tits_index: Optional[int] = None,
               splitting_degree: Optional[int] = None,

@@ -238,14 +238,20 @@ def cyclotomic_exponents(num: Iterable[int], den: Iterable[int]) -> Tuple[int, .
     """Exponents (e_1, e_2, ...) of Phi_n in prod_{a in num} (1 - t^a) /
     prod_{b in den} (1 - t^b), trailing zeros dropped: e_n = #{n | a} -
     #{n | b}.  The ratio is a polynomial exactly when no e_n is negative,
-    and is then fixed by the tuple (its constant term is 1).
+    and is then fixed by the tuple (its constant term is 1).  With the
+    signed count c[a] of each degree, e_n is the sum of c over the
+    multiples of n.
 
     >>> cyclotomic_exponents((2, 3), (1, 1))
     (0, 1, 1)
     """
     num, den = list(num), list(den)
-    e = [sum(a % n == 0 for a in num) - sum(b % n == 0 for b in den)
-         for n in range(1, max(num + den, default=0) + 1)]
+    c = [0] * (max(num + den, default=0) + 1)
+    for a in num:
+        c[a] += 1
+    for b in den:
+        c[b] -= 1
+    e = [sum(c[n::n]) for n in range(1, len(c))]
     while e and e[-1] == 0:
         e.pop()
     return tuple(e)

@@ -18,10 +18,26 @@ decomposition calculator reports as NotDivisible.  The complete flag
 (empty theta) is certified for every value: a group of inner type splits
 over the function field of its Borel variety.
 
-Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b), so
-divisibility is containment of cyclotomic exponent vectors.  Parabolics
-are grouped by Levi type once per Dynkin type and counted per value;
-each distinct (summand, flag polynomial) pair of a row is checked once.
+Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b)
+(Chevalley-Solomon), so the sweep mostly builds no polynomial:
+
+* Levi types by mask recurrence.  Once per Dynkin type, the components
+  of each of the 2^rank parabolic masks are those of the mask without
+  its top vertex, with that vertex joining the components adjacent to
+  it; each connected component is classified once.  Masks are grouped
+  by flag polynomial and counted per value.
+* Verdicts once per sweep.  A verdict and its witness text depend only
+  on the cyclotomic exponent vectors (need, have) of summand and flag
+  polynomial, so one dict keyed on them serves every row.  `divisions`
+  still counts the distinct pairs of each row.
+* A geometric-pairing certificate.  After common degrees cancel, if
+  every b of the quotient pairs with a distinct a that it divides, the
+  quotient is a product of geometric sums and passes unbuilt.
+  Otherwise motive.twist_multiplicities decides, and it alone writes
+  failure witnesses.
+
+Nothing outlives one call.  On a shared 2-vCPU machine with Python
+3.11, max_rank 8 / 10 / 12 take about 0.10 / 0.30 / 0.93 s.
 """
 
 from __future__ import annotations
@@ -32,12 +48,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import NegativeCoefficient, NotDivisible
+from .errors import NegativeCoefficient, NotDivisible, SearchBudgetExceeded
 from .jinvariant import JInvariant, enumerate_admissible
 from .kac_table import GroupForm, table_rows, torsion_data
-from .motive import summand_degrees, twist_multiplicities
+from .motive import (_SEARCH_BUDGET, Degrees, _geometric_pairing, summand_degrees,
+                     twist_multiplicities)
 from .polynomial import cyclotomic_exponents
-from .root_data import DynkinType, flag_degrees, is_generically_split
+from .root_data import (DynkinType, dynkin_edges, is_generically_split, theta_components,
+                        weyl_degrees)
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -103,10 +121,47 @@ class SweepReport:
     divisions: int = 0
     failures: List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...], str]] = field(
         default_factory=list)
+    verdicts: int = 0       # distinct (summand, flag polynomial) pairs of the sweep
+    certified: int = 0      # of those, settled by the geometric pairing
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def _flag_groups(t: DynkinType) -> List[Tuple[Degrees, Tuple[int, ...], List[int]]]:
+    """(flag degrees, their cyclotomic exponents, theta bitmasks) for each
+    distinct flag polynomial of t, in order of first mask; vertex v is
+    bit v - 1.
+
+    The components of a mask are those of the mask without its top vertex
+    v, except that v joins every component adjacent to it.  Each connected
+    component is classified once."""
+    adjacent = [0] * (t.rank + 1)
+    for a, b, _m in dynkin_edges(t):
+        adjacent[a] |= 1 << (b - 1)
+        adjacent[b] |= 1 << (a - 1)
+    levi: Dict[int, Tuple[int, ...]] = {}     # connected vertex mask -> Weyl degrees
+    components: List[List[int]] = [[]]        # indexed by mask
+    num = weyl_degrees(t)
+    by_total = defaultdict(list)
+    by_total[num, (1,) * t.rank].append(0)
+    for mask in range(1, 1 << t.rank):
+        v = mask.bit_length()
+        joined, comps = 1 << (v - 1), []
+        for c in components[mask ^ joined]:
+            if c & adjacent[v]:
+                joined |= c
+            else:
+                comps.append(c)
+        if joined not in levi:
+            comp, = theta_components(t, [w for w in t.vertices if joined >> (w - 1) & 1])
+            levi[joined] = weyl_degrees(comp)
+        comps.append(joined)
+        components.append(comps)
+        den = sorted(d for c in comps for d in levi[c])
+        by_total[num, tuple(den) + (1,) * (t.rank - len(den))].append(mask)
+    return [(total, cyclotomic_exponents(*total), masks) for total, masks in by_total.items()]
 
 
 def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
@@ -114,24 +169,30 @@ def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
 
     Returns a report with the number of (form, p) rows, the number of
     (J, theta) cases covered, the number of distinct (summand, flag
-    polynomial) pairs checked per row, and any failures (expected: none)
-    as (form, p, J, theta, reason naming the missing cyclotomic factor or
-    the first negative quotient coefficient).
+    polynomial) pairs checked per row, the number of those pairs over the
+    whole sweep and how many of them the geometric pairing settled, and
+    any failures (expected: none) as (form, p, J, theta, reason naming the
+    missing cyclotomic factor or the first negative quotient coefficient).
+
+    Each Dynkin type enumerates 2^rank parabolic masks, exceptional types
+    up to rank 8; SearchBudgetExceeded is raised before the first row when
+    that count exceeds the search budget.
     """
+    count = 1 << max(max_rank, 8)
+    if count > _SEARCH_BUDGET:
+        raise SearchBudgetExceeded("a sweep to rank %d enumerates %d parabolic masks per "
+                                   "Dynkin type, over budget %d"
+                                   % (max_rank, count, _SEARCH_BUDGET))
     report = SweepReport()
-    groups: Dict[DynkinType, list] = {}    # (total, its exponents, theta bitmasks)
+    groups: Dict[DynkinType, list] = {}
     passing: Dict[Tuple[DynkinType, int], List[List[int]]] = {}
+    verdicts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[str]] = {}
     for form, p in table_rows(max_rank):
         data, t = torsion_data(form, p), form.base
         report.rows += 1
         if t not in groups:
-            by_total = defaultdict(list)
-            for mask in range(1 << t.rank):
-                theta = [v for v in t.vertices if mask >> (v - 1) & 1]
-                by_total[flag_degrees(t, theta)].append(mask)
-            groups[t] = [(total, cyclotomic_exponents(*total), masks)
-                         for total, masks in by_total.items()]
-        verdicts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[str]] = {}
+            groups[t] = _flag_groups(t)
+        checked: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
         for J in enumerate_admissible(form, p):
             good = sum(1 << (v - 1) for v in consistent_split_vertices(form, p, J.j))
             if (t, good) not in passing:
@@ -144,17 +205,24 @@ def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
                 if not thetas:
                     continue
                 report.cases += len(thetas)
-                if (need, have) not in verdicts:
+                key = need, have
+                if key not in checked:
+                    checked.add(key)
                     report.divisions += 1
-                    try:
-                        twist_multiplicities(summand, total, need, have)
-                        verdicts[need, have] = None
-                    except (NotDivisible, NegativeCoefficient) as exc:
-                        verdicts[need, have] = str(exc)
-                if verdicts[need, have] is not None:
+                if key not in verdicts:
+                    verdicts[key] = None
+                    if _geometric_pairing(total[0] + summand[1], total[1] + summand[0]):
+                        report.certified += 1
+                    else:
+                        try:
+                            twist_multiplicities(summand, total, need, have)
+                        except (NotDivisible, NegativeCoefficient) as exc:
+                            verdicts[key] = str(exc)
+                if verdicts[key] is not None:
                     report.failures += [
                         (form.name, p, J.j, tuple(v for v in t.vertices if m >> (v - 1) & 1),
-                         verdicts[need, have]) for m in thetas]
+                         verdicts[key]) for m in thetas]
+    report.verdicts = len(verdicts)
     return report
 
 

@@ -31,7 +31,7 @@ from jcalc.motive import (
     torsion_index_bound,
 )
 from jcalc.integers import factorize
-from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents
+from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
 from jcalc.root_data import (
     DynkinType,
     poincare_complete_flag,
@@ -132,6 +132,56 @@ class TestDecompose:
         assert dec.multiplicities == Poly([1, 0, 1])
         assert dec.multiplicities(1) * 5 == dec.total_poincare(1)
         assert sorted(dec.twists()) == dec.twists()
+
+
+def _product(degrees) -> Poly:
+    out = Poly.one()
+    for a in degrees:
+        out = out * (Poly.one() - Poly.monomial(a))
+    return out
+
+
+# A quotient with a geometric pairing, (b m) over b, shuffled in with common
+# degrees and with stray degrees on either side that may or may not pair.
+paired_degrees = st.tuples(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=4),
+    st.lists(st.integers(1, 12), max_size=3),
+    st.lists(st.integers(1, 12), max_size=3),
+    st.lists(st.integers(1, 12), max_size=3),
+    st.randoms(use_true_random=False))
+
+
+@given(paired_degrees)
+@example(([(2, 3), (1, 6)], [], [], [], random.Random(0)))
+@example(([(3, 3), (2, 3)], [], [], [], random.Random(0)))     # greedy: 6 to 3, 9 left for 2
+@example(([], [4], [6, 1], [2, 3], random.Random(0)))           # Phi_6, not paired
+def test_geometric_pairing_certifies_only_nonnegative_polynomials(case):
+    pairs, common, extra_num, extra_den, rng = case
+    num = [b * m for b, m in pairs] + common + extra_num
+    den = [b for b, _m in pairs] + common + extra_den
+    rng.shuffle(num)
+    rng.shuffle(den)
+    if motive._geometric_pairing(num, den):
+        quotient = degree_ratio(num, den)
+        assert quotient * _product(den) == _product(num)
+        assert quotient.is_nonnegative
+
+
+def test_geometric_pairing_is_sufficient_only():
+    assert motive._geometric_pairing((6, 4), (2, 3))         # 6 over 3, 4 over 2
+    assert motive._geometric_pairing((2, 3, 5), (1, 5, 1))   # 5 cancels
+    # no polynomial: nothing pairs 15
+    assert not motive._geometric_pairing((6, 10), (2, 15))
+    # 1 - t + t^2 (that is Phi_6), negative
+    assert not motive._geometric_pairing((6, 1), (2, 3))
+    # unmatched numerator degrees are no geometric sums
+    assert not motive._geometric_pairing((4, 6), (2,))
+    # 1 + t^2 + t^3 + t^4 + t^6 is nonnegative, but 5 pairs with neither 2 nor 3
+    assert not motive._geometric_pairing((5, 6), (2, 3))
+    assert degree_ratio((5, 6), (2, 3)) == Poly([1, 0, 1, 1, 1, 0, 1])
+    # 9 over 3 and 6 over 2 would do, but the greedy matching gives 6 to 3
+    assert not motive._geometric_pairing((6, 9), (2, 3))
+    assert degree_ratio((6, 9), (2, 3)).is_nonnegative
 
 
 def _decompose_by_division(form, p, J, theta):

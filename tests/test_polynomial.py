@@ -125,6 +125,29 @@ def test_exponent_containment_is_exact_division(total, summand):
         assert degree_ratio(t_num + s_den, t_den + s_num) == quotient
 
 
+def old_cyclotomic_exponents(num, den):
+    """cyclotomic_exponents as it was before the signed degree counts:
+    e_n counted by trial of every n up to the largest degree."""
+    num, den = list(num), list(den)
+    e = [sum(a % n == 0 for a in num) - sum(b % n == 0 for b in den)
+         for n in range(1, max(num + den, default=0) + 1)]
+    while e and e[-1] == 0:
+        e.pop()
+    return tuple(e)
+
+
+degree_lists = st.lists(st.integers(1, 60), max_size=12)
+
+
+@given(degree_lists, degree_lists)
+@example([], [])
+@example([2, 8, 12, 14, 18, 20, 24, 30], [1] * 8)               # E8 complete flag
+@example([6, 4, 6], [4, 6, 6])                                  # fully cancelling
+def test_cyclotomic_exponents_match_old_counting(num, den):
+    assert cyclotomic_exponents(num, den) == old_cyclotomic_exponents(num, den)
+    assert cyclotomic_exponents(num + den, den + num) == ()
+
+
 def test_str():
     assert str(Poly([1, 0, 2])) == "1 + 2*t^2"
     assert str(Poly.zero()) == "0"

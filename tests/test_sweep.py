@@ -5,22 +5,31 @@ sweep used before it called ``root_data.is_generically_split`` at
 consistent Tits data.  ``_per_theta_sweep`` is the sweep as it was before
 it grouped parabolics by Levi type: one ``exact_div`` per deduplicated
 (summand, flag polynomial) pair, theta by theta, with the polynomials
-built as products of geometric sums.  Both stay here as differential
-oracles.
+built as products of geometric sums.  ``_per_row_sweep`` is the sweep as
+it was before verdicts were shared across rows and certified by geometric
+pairing: one verdict memo per row, each verdict by
+``twist_multiplicities``, with the masks grouped by a ``flag_degrees``
+call per mask (``_per_mask_flag_groups``).  All stay here as
+differential oracles.
 """
 
 import re
+import time
+from collections import defaultdict
 from typing import Sequence, Set
 
 import pytest
 
 import jcalc.sweep
-from jcalc.errors import NotDivisible
+from jcalc.errors import NegativeCoefficient, NotDivisible, SearchBudgetExceeded
 from jcalc.jinvariant import enumerate_admissible
 from jcalc.kac_table import GroupForm, table_rows, torsion_data
-from jcalc.polynomial import Poly, cyclotomic
-from jcalc.root_data import DynkinType, poincare_homogeneous, theta_components, weyl_degrees
-from jcalc.sweep import SweepReport, consistent_split_thetas, consistent_split_vertices
+from jcalc.motive import summand_degrees, twist_multiplicities
+from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents
+from jcalc.root_data import (DynkinType, flag_degrees, poincare_homogeneous, theta_components,
+                             weyl_degrees)
+from jcalc.sweep import (SweepReport, consistent_split_thetas, consistent_split_vertices,
+                         run_divisibility_sweep)
 
 
 def _flag(t: DynkinType) -> Poly:
@@ -69,6 +78,49 @@ def _per_theta_sweep(max_rank: int) -> SweepReport:
                 if not quotient_cache[key]:
                     report.failures.append(
                         (form.name, p, J.j, tuple(sorted(theta)), "no exact quotient"))
+    return report
+
+
+def _per_mask_flag_groups(t: DynkinType):
+    by_total = defaultdict(list)
+    for mask in range(1 << t.rank):
+        theta = [v for v in t.vertices if mask >> (v - 1) & 1]
+        by_total[flag_degrees(t, theta)].append(mask)
+    return [(total, cyclotomic_exponents(*total), masks) for total, masks in by_total.items()]
+
+
+def _per_row_sweep(max_rank: int) -> SweepReport:
+    report = SweepReport()
+    groups, passing = {}, {}
+    for form, p in table_rows(max_rank):
+        data, t = torsion_data(form, p), form.base
+        report.rows += 1
+        if t not in groups:
+            groups[t] = _per_mask_flag_groups(t)
+        verdicts = {}
+        for J in enumerate_admissible(form, p):
+            good = sum(1 << (v - 1)
+                       for v in jcalc.sweep.consistent_split_vertices(form, p, J.j))
+            if (t, good) not in passing:
+                passing[t, good] = [[m for m in masks if not m or ~m & good]
+                                    for _, _, masks in groups[t]]
+            summand = summand_degrees(data, J)
+            need = cyclotomic_exponents(*summand)
+            for (total, have, _), thetas in zip(groups[t], passing[t, good]):
+                if not thetas:
+                    continue
+                report.cases += len(thetas)
+                if (need, have) not in verdicts:
+                    report.divisions += 1
+                    try:
+                        twist_multiplicities(summand, total, need, have)
+                        verdicts[need, have] = None
+                    except (NotDivisible, NegativeCoefficient) as exc:
+                        verdicts[need, have] = str(exc)
+                if verdicts[need, have] is not None:
+                    report.failures += [
+                        (form.name, p, J.j, tuple(v for v in t.vertices if m >> (v - 1) & 1),
+                         verdicts[need, have]) for m in thetas]
     return report
 
 
@@ -196,3 +248,61 @@ def test_flag_polynomial_matches_exact_division(t):
     for mask in range(1 << t.rank):
         theta = [v for v in t.vertices if mask >> (v - 1) & 1]
         assert poincare_homogeneous(t, theta) == flag.exact_div(_levi(t, theta)), theta
+
+
+def test_flag_groups_match_per_mask_flag_degrees():
+    types = {form.base for form, _p in table_rows(12)}
+    assert {DynkinType("D", 4), DynkinType("B", 12), DynkinType("C", 12), DynkinType("F", 4),
+            DynkinType("G", 2), DynkinType("E", 6), DynkinType("E", 7),
+            DynkinType("E", 8)} <= types
+    for t in sorted(types, key=str):
+        assert jcalc.sweep._flag_groups(t) == _per_mask_flag_groups(t), t
+
+
+@pytest.mark.parametrize("max_rank, failures", [(4, 191), (8, 4282)])
+def test_sweep_matches_per_row_oracle_with_every_vertex_certified(monkeypatch, max_rank,
+                                                                   failures):
+    monkeypatch.setattr(jcalc.sweep, "consistent_split_vertices",
+                        lambda form, p, j: set(form.base.vertices))
+    new, old = run_divisibility_sweep(max_rank), _per_row_sweep(max_rank)
+    assert (new.rows, new.cases, new.divisions) == (old.rows, old.cases, old.divisions)
+    assert new.failures == old.failures        # witness texts and order included
+    assert len(new.failures) == failures
+    assert 0 < new.certified < new.verdicts <= new.divisions
+
+
+@pytest.mark.parametrize("max_rank, counts", [
+    (8, (71, 49_694, 8_123, 4_247)),
+    (10, (89, 245_577, 22_176, 11_859)),
+    (12, (110, 1_638_895, 67_310, 35_871)),
+])
+def test_sweep_pins(max_rank, counts):
+    report = run_divisibility_sweep(max_rank)
+    assert (report.rows, report.cases, report.divisions, report.verdicts) == counts
+    assert report.failures == []
+    # some verdicts need the fallback, and every one of them passes there
+    assert 0 < report.certified < report.verdicts
+
+
+def test_sweep_keeps_no_state_between_calls():
+    first, second = run_divisibility_sweep(4), run_divisibility_sweep(4)
+    assert first == second and first.verdicts > 0
+
+
+def test_sweep_refuses_a_rank_over_budget_before_any_row(monkeypatch):
+    def no_rows(max_rank):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(jcalc.sweep, "table_rows", no_rows)
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match=r"rank 23 .* 8388608 .*budget 4194304"):
+        run_divisibility_sweep(23)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_budget_counts_at_least_the_exceptional_rank(monkeypatch):
+    monkeypatch.setattr(jcalc.sweep, "_SEARCH_BUDGET", 2 ** 8 - 1)
+    with pytest.raises(SearchBudgetExceeded, match="rank 1 .* 256 "):
+        run_divisibility_sweep(1)
+    monkeypatch.setattr(jcalc.sweep, "_SEARCH_BUDGET", 2 ** 8)
+    assert run_divisibility_sweep(1).ok
