@@ -9,6 +9,7 @@ from .errors import (
     HypothesisViolated,
     IndexOutOfRange,
     InternalInconsistency,
+    InvalidInput,
     JCalcError,
     LengthMismatch,
     MissingPrime,

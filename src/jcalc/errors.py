@@ -10,6 +10,10 @@ class JCalcError(Exception):
     """Base class for all domain errors raised by jcalc."""
 
 
+class InvalidInput(JCalcError, ValueError):
+    """An argument lies outside the domain of the calculator."""
+
+
 class UnsupportedForm(JCalcError):
     """The requested group form has no row in the torsion table."""
 

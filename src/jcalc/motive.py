@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import sympy  # noqa: F401
 
 from .errors import (
+    InvalidInput,
     MissingPrime,
     NegativeCoefficient,
     NoDivisor,
@@ -36,7 +37,7 @@ from .integers import factorize, is_prime
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
 from .polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
-from .root_data import UNKNOWN, ThetaLike, flag_degrees, is_generically_split
+from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
 
 Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -191,24 +192,28 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
     The quotient by rost_poincare must be exact with nonnegative
     coefficients; NotDivisible or NegativeCoefficient means the supplied
     J cannot occur for a group split generically by X_theta.  When Tits
-    data (tits_index, splitting_degree) is supplied, the generic
-    splitness table is consulted first and a definite or unresolved
-    failure raises NotGenericallySplit; without Tits data the caller
-    vouches for splitness.
+    data (tits_index, splitting_degree) is supplied, both positive, the
+    generic splitness table is consulted first and a definite or
+    unresolved failure raises NotGenericallySplit, naming the splitting
+    vertices that theta covers; without Tits data the caller vouches for
+    splitness.  Half the Tits data, or a value below 1, is InvalidInput.
     """
     data = torsion_data(form, p)
     J = as_jinvariant(data, J)
     if tits_index is not None or splitting_degree is not None:
         if tits_index is None or splitting_degree is None:
-            raise ValueError("supply both tits_index and splitting_degree or neither")
+            raise InvalidInput("supply both tits_index and splitting_degree or neither")
         verdict = is_generically_split(form, theta, tits_index, splitting_degree, pfister)
         if verdict is UNKNOWN:
             raise NotGenericallySplit(
                 "splitness depends on the Pfister case; pass pfister=True/False")
         if not verdict:
-            raise NotGenericallySplit(
-                "no vertex outside theta splits %s for d=%d, q=%d"
-                % (form, tits_index, splitting_degree))
+            where = "%s at d=%d, q=%d" % (form, tits_index, splitting_degree)
+            split = sorted(_split_vertices(form.base, tits_index, splitting_degree))
+            if not split:
+                raise NotGenericallySplit("%s has no splitting vertex" % where)
+            raise NotGenericallySplit("the splitting vertices %s of %s all lie in theta"
+                                      % (", ".join(map(str, split)), where))
     flag, summand = flag_degrees(form.base, theta), summand_degrees(data, J)
     multiplicities = twist_multiplicities(summand, flag, cyclotomic_exponents(*summand),
                                           cyclotomic_exponents(*flag))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, UnsupportedForm
+from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
 from .polynomial import Poly, cyclotomic_exponents, degree_ratio
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -295,6 +295,37 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
+def _split_vertices(t: DynkinType, d: int, q: int) -> FrozenSet[int]:
+    """Vertices k of t such that the group splits over F(X_theta) whenever
+    k lies outside theta, for Tits index d and splitting degree q
+    (Petrov-Semenov).  For B and D this leaves out the Pfister escape.
+
+    >>> sorted(_split_vertices(DynkinType("E", 8), 1, 8))
+    [2, 3, 4, 5]
+    """
+    if d < 1 or q < 1:
+        raise InvalidInput("Tits index d=%d and splitting degree q=%d must both be "
+                           "positive" % (d, q))
+    n, s = t.rank, t.series
+    if s == "A":
+        return frozenset(k for k in t.vertices if math.gcd(k, d) == 1)
+    if s == "C":
+        return frozenset(k for k in t.vertices if k % 2 == 1)
+    if s == "G":
+        return frozenset({1, 2})
+    if s == "F":
+        return frozenset({1, 2, 3, *(t.vertices if q == 3 else ())})
+    if s == "E" and n == 6:
+        return frozenset({3, 5, *((2, 4) if d == 1 else ()), *((1, 6) if q % 2 == 1 else ())})
+    if s == "E" and n == 7:
+        return frozenset({2, 5, *((3, 4) if d == 1 else ()), *(range(1, 7) if q == 3 else ())})
+    if s == "E":
+        return frozenset({2, 3, 4, 5, *(t.vertices if q == 5 else ())})
+    if s == "B":
+        return frozenset({n})
+    return frozenset({n - 1, n} if d == 1 else ())
+
+
 def is_generically_split(form, theta: ThetaLike, tits_index: int,
                          splitting_degree: int,
                          pfister: Optional[bool] = None):
@@ -302,58 +333,24 @@ def is_generically_split(form, theta: ThetaLike, tits_index: int,
 
     ``tits_index`` is the index d of the Tits algebra (for D_n, of the
     algebra associated with the vector representation) and
-    ``splitting_degree`` is the degree q of a splitting field.  Returns
-    True when some vertex k outside theta satisfies the per-series
-    criterion, False when no vertex can, and UNKNOWN when the answer
-    depends on whether the underlying form is a Pfister form or its
-    maximal neighbor (series B and D), which (d, q) cannot decide; the
-    ``pfister`` flag lets the caller settle that case.
+    ``splitting_degree`` is the degree q of a splitting field, both
+    positive (InvalidInput otherwise).  Returns True when theta leaves
+    out a vertex of the table _split_vertices.  Otherwise, for series B
+    and D with some vertex outside theta, the answer depends on whether
+    the underlying form is a Pfister form or its maximal neighbor, which
+    (d, q) cannot decide: the ``pfister`` flag settles it, and without
+    it the answer is UNKNOWN.  Every other case is False.
 
     Accepts a GroupForm or a bare DynkinType; only the type matters.
     """
     t = form.base if hasattr(form, "base") else form
     if not isinstance(t, DynkinType):
         raise UnsupportedForm("expected a Dynkin type or group form, got %r" % (form,))
-    d, q = tits_index, splitting_degree
-    outside = sorted(frozenset(t.vertices) - _theta_set(t, theta))
-    if not outside:
-        return False
-    n = t.rank
-    s = t.series
-
-    if s == "A":
-        return any(math.gcd(k, d) == 1 for k in outside)
-    if s == "C":
-        return any(k % 2 == 1 for k in outside)
-    if s == "G":
+    outside = frozenset(t.vertices) - _theta_set(t, theta)
+    if outside & _split_vertices(t, tits_index, splitting_degree):
         return True
-    if s == "F":
-        return q == 3 or any(k in (1, 2, 3) for k in outside)
-    if s == "E" and n == 6:
-        good = {3, 5}
-        if d == 1:
-            good |= {2, 4}
-        if q % 2 == 1:
-            good |= {1, 6}
-        return any(k in good for k in outside)
-    if s == "E" and n == 7:
-        good = {2, 5}
-        if d == 1:
-            good |= {3, 4}
-        if q == 3:
-            good |= {1, 2, 3, 4, 5, 6}
-        return any(k in good for k in outside)
-    if s == "E" and n == 8:
-        return q == 5 or any(k in (2, 3, 4, 5) for k in outside)
-
-    # B and D carry the Pfister escape hatch: a Pfister form or maximal
+    # B and D carry the Pfister escape: a Pfister form or maximal
     # neighbor splits over any X_theta.
-    if s == "B":
-        plain = n in outside
-    else:  # D
-        plain = d == 1 and any(k in (n - 1, n) for k in outside)
-    if plain:
-        return True
-    if pfister is None:
-        return UNKNOWN
-    return bool(pfister)
+    if not outside or t.series not in ("B", "D"):
+        return False
+    return UNKNOWN if pfister is None else bool(pfister)

@@ -8,13 +8,13 @@ For each such triple the flag Poincare polynomial must factor exactly
 through the summand polynomial with nonnegative multiplicities.
 
 The split parabolics come from the one vertex table,
-root_data.is_generically_split, evaluated at Tits data (d, q, pfister)
-consistent with J.  Consistency matters because d and q are coupled to
-the value: a row whose codimension-1 generator is coupled to the Tits
-algebra (SL/mu, PGO_2n with n even, adjoint E6 at 3, adjoint E7 at 2)
-has d = p^{j_1}, so pretending d = 1 while j_1 > 0 pairs the value with
-parabolics it can never meet; such pairs are exactly the ones the
-decomposition calculator reports as NotDivisible.  The complete flag
+root_data._split_vertices, asked once per value at Tits data (d, q,
+pfister) consistent with J.  Consistency matters because d and q are
+coupled to the value: a row whose codimension-1 generator is coupled to
+the Tits algebra (SL/mu, PGO_2n with n even, adjoint E6 at 3, adjoint
+E7 at 2) has d = p^{j_1}, so pretending d = 1 while j_1 > 0 pairs the
+value with parabolics it can never meet; such pairs are exactly the ones
+the decomposition calculator reports as NotDivisible.  The complete flag
 (empty theta) is certified for every value: a group of inner type splits
 over the function field of its Borel variety.
 
@@ -37,7 +37,7 @@ Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b)
   failure witnesses.
 
 Nothing outlives one call.  On a shared 2-vCPU machine with Python
-3.11, max_rank 8 / 10 / 12 take about 0.10 / 0.30 / 0.93 s.
+3.11, max_rank 8 / 10 / 12 take about 0.10 / 0.27 / 0.8 s.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import NegativeCoefficient, NotDivisible, SearchBudgetExceeded
 from .jinvariant import JInvariant, enumerate_admissible
@@ -54,49 +54,38 @@ from .kac_table import GroupForm, table_rows, torsion_data
 from .motive import (_SEARCH_BUDGET, Degrees, _geometric_pairing, summand_degrees,
                      twist_multiplicities)
 from .polynomial import cyclotomic_exponents
-from .root_data import (DynkinType, dynkin_edges, is_generically_split, theta_components,
-                        weyl_degrees)
+from .root_data import DynkinType, _split_vertices, dynkin_edges, theta_components, weyl_degrees
 
 
 def _is_power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
 
 
-def _consistent_tits_data(form: GroupForm, p: int,
-                          j: Sequence[int]) -> Tuple[int, int, bool]:
-    """Tits data (d, q, pfister) of a group realizing the value j at p.
-
-    d = p^{j_1} exactly when the row's codimension-1 generator is coupled
-    to the Tits algebra (SL/mu, PGO_2n with n even, adjoint E6 at 3,
-    adjoint E7 at 2), else d = 1; q = p; and the form counts as Pfister
-    (or a maximal neighbor) when it is SO/Spin of dimension 2^m or
-    2^m - 1 and the value is (0, ..., 0, 1).
-    """
-    s, n, iso = form.base.series, form.base.rank, form.isogeny
-    coupled = (s == "A" or (iso == "pgo" and n % 2 == 0)
-               or (s, n, iso, p) in (("E", 6, "ad", 3), ("E", 7, "ad", 2)))
-    pfister = (iso in ("so", "spin") and not any(j[:-1]) and j[-1] == 1
-               and (_is_power_of_two(form.quadratic_dimension)
-                    or _is_power_of_two(form.quadratic_dimension + 1)))
-    return (p ** j[0] if coupled else 1), p, pfister
-
-
 def consistent_split_vertices(form: GroupForm, p: int,
-                              j: Sequence[int]) -> Set[int]:
+                              j: Sequence[int]) -> FrozenSet[int]:
     """Vertices k for which some group realizing (p, j) splits over F(X)
     whenever k lies outside theta.
 
-    The vertex table is_generically_split evaluated at the Tits data
-    consistent with the value (see _consistent_tits_data), one vertex at
-    a time.  For the zero value every vertex qualifies: the group may be
-    split.
+    One lookup in the vertex table root_data._split_vertices at the Tits
+    data (d, q) of such a group: d = p^{j_1} exactly when the row's
+    codimension-1 generator is coupled to the Tits algebra (SL/mu, PGO_2n
+    with n even, adjoint E6 at 3, adjoint E7 at 2), else d = 1, and
+    q = p.  Every vertex qualifies for the zero value (the group may be
+    split) and for a Pfister value: SO/Spin of dimension 2^m or 2^m - 1
+    with value (0, ..., 0, 1) may be a Pfister form or a maximal
+    neighbor, which splits over any X_theta.
     """
-    everything = set(form.base.vertices)
+    everything = frozenset(form.base.vertices)
     if not any(j):
         return everything
-    d, q, pfister = _consistent_tits_data(form, p, j)
-    return {k for k in everything
-            if is_generically_split(form, everything - {k}, d, q, pfister)}
+    s, n, iso = form.base.series, form.base.rank, form.isogeny
+    if (iso in ("so", "spin") and not any(j[:-1]) and j[-1] == 1
+            and (_is_power_of_two(form.quadratic_dimension)
+                 or _is_power_of_two(form.quadratic_dimension + 1))):
+        return everything
+    coupled = (s == "A" or (iso == "pgo" and n % 2 == 0)
+               or (s, n, iso, p) in (("E", 6, "ad", 3), ("E", 7, "ad", 2)))
+    return _split_vertices(form.base, p ** j[0] if coupled else 1, p)
 
 
 def consistent_split_thetas(form: GroupForm, p: int,

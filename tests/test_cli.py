@@ -99,6 +99,26 @@ class TestExitCodes:
         assert (status, out) == (1, "")
         assert "budget" in err
 
+    def test_decompose_rejects_partial_or_bad_tits_data(self, capsys):
+        base = ["motive", "decompose", "--form", "E8", "--p", "2", "--j", "1,1,1,1"]
+        for tits in (["--tits-index", "1"], ["--splitting-degree", "2"],
+                     ["--tits-index", "0", "--splitting-degree", "2"],
+                     ["--tits-index", "-3", "--splitting-degree", "2"],
+                     ["--tits-index", "1", "--splitting-degree", "0"]):
+            for mode in ([], ["--json"]):
+                status, out, err = run(capsys, *base, *tits, *mode)
+                assert (status, out) == (1, ""), tits + mode
+                assert err.startswith("error:") and "Traceback" not in err
+
+    def test_decompose_without_splitting_degree_in_a_process(self):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jcalc.cli", "motive", "decompose", "--form", "E8",
+             "--p", "2", "--j", "1,1,1,1", "--tits-index", "1", "--json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
     def test_help_everywhere(self, capsys):
         verbs = [
             ["table", "dump"], ["jinv", "enumerate"], ["jinv", "check"],

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jcalc import motive
 from jcalc.errors import (
+    InvalidInput,
     MissingPrime,
     NegativeCoefficient,
     NoDivisor,
@@ -108,8 +109,10 @@ class TestDecompose:
     def test_generic_splitness_gate(self):
         e8 = parse_form("E8")
         theta = set(range(1, 9)) - {7}
-        with pytest.raises(NotGenericallySplit):
+        with pytest.raises(NotGenericallySplit) as exc:
             decompose(e8, 5, (1,), theta=theta, tits_index=1, splitting_degree=8)
+        assert str(exc.value) == ("the splitting vertices 2, 3, 4, 5 of E8 at d=1, q=8 "
+                                  "all lie in theta")
         # q = 5 makes any vertex split E8
         dec = decompose(e8, 5, (1,), theta=theta, tits_index=1, splitting_degree=5)
         assert dec.multiplicities.is_nonnegative
@@ -119,6 +122,22 @@ class TestDecompose:
         dec = decompose(b3, 2, (0, 0), theta={3}, tits_index=1, splitting_degree=2,
                         pfister=True)
         assert dec.summand_poincare == Poly.one()
+        d4 = parse_form("D4so")
+        with pytest.raises(NotGenericallySplit) as exc:
+            decompose(d4, 2, (0, 0), theta={1}, tits_index=2, splitting_degree=2,
+                      pfister=False)
+        assert str(exc.value) == "D4so at d=2, q=2 has no splitting vertex"
+
+    def test_tits_data_is_checked(self):
+        e8 = parse_form("E8")
+        for tits in ({"tits_index": 1}, {"splitting_degree": 2},
+                     {"tits_index": 0, "splitting_degree": 2},
+                     {"tits_index": -3, "splitting_degree": 2},
+                     {"tits_index": 1, "splitting_degree": 0}):
+            with pytest.raises(InvalidInput):
+                decompose(e8, 2, (1, 1, 1, 1), **tits)
+            with pytest.raises(ValueError):
+                decompose(e8, 2, (1, 1, 1, 1), **tits)
 
     def test_invariant_of_construction(self):
         with pytest.raises(NotDivisible):

@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcalc.errors import UnsupportedForm
+from jcalc.errors import InvalidInput, UnsupportedForm
 from jcalc.kac_table import GroupForm, parse_form
 from jcalc.motive import decompose
 from jcalc.polynomial import Poly
 from jcalc.root_data import (
     UNKNOWN,
     DynkinType,
+    _split_vertices,
+    _theta_set,
     dynkin_edges,
     flag_degrees,
     is_generically_split,
@@ -242,3 +245,80 @@ class TestGenericSplitness:
     def test_rejects_garbage(self):
         with pytest.raises(UnsupportedForm):
             is_generically_split("E8", {1}, 1, 1)
+
+    def test_tits_data_must_be_positive(self):
+        e8 = parse_form("E8")
+        for d, q in ((0, 8), (-3, 8), (1, 0), (1, -5)):
+            with pytest.raises(InvalidInput, match="must both be positive"):
+                is_generically_split(e8, {1}, d, q)
+            with pytest.raises(ValueError):         # InvalidInput is a ValueError
+                _split_vertices(e8.base, d, q)
+
+
+def old_is_generically_split(form, theta, tits_index, splitting_degree, pfister=None):
+    """The vertex table as it was before it returned its vertex set: the
+    per-series criterion tested against each vertex outside theta."""
+    t = form.base if hasattr(form, "base") else form
+    if not isinstance(t, DynkinType):
+        raise UnsupportedForm("expected a Dynkin type or group form, got %r" % (form,))
+    d, q = tits_index, splitting_degree
+    outside = sorted(frozenset(t.vertices) - _theta_set(t, theta))
+    if not outside:
+        return False
+    n = t.rank
+    s = t.series
+
+    if s == "A":
+        return any(math.gcd(k, d) == 1 for k in outside)
+    if s == "C":
+        return any(k % 2 == 1 for k in outside)
+    if s == "G":
+        return True
+    if s == "F":
+        return q == 3 or any(k in (1, 2, 3) for k in outside)
+    if s == "E" and n == 6:
+        good = {3, 5}
+        if d == 1:
+            good |= {2, 4}
+        if q % 2 == 1:
+            good |= {1, 6}
+        return any(k in good for k in outside)
+    if s == "E" and n == 7:
+        good = {2, 5}
+        if d == 1:
+            good |= {3, 4}
+        if q == 3:
+            good |= {1, 2, 3, 4, 5, 6}
+        return any(k in good for k in outside)
+    if s == "E" and n == 8:
+        return q == 5 or any(k in (2, 3, 4, 5) for k in outside)
+
+    if s == "B":
+        plain = n in outside
+    else:  # D
+        plain = d == 1 and any(k in (n - 1, n) for k in outside)
+    if plain:
+        return True
+    if pfister is None:
+        return UNKNOWN
+    return bool(pfister)
+
+
+def test_split_vertices_match_per_vertex_oracle():
+    types = ([DynkinType(s, n) for s in "ABC" for n in range(1, 7)]
+             + [DynkinType("D", n) for n in range(3, 7)]
+             + [DynkinType("E", n) for n in (6, 7, 8)]
+             + [DynkinType("F", 4), DynkinType("G", 2)])
+    cases, outcomes = 0, set()
+    for t in types:
+        thetas = [frozenset(v for v, b in zip(t.vertices, bits) if b)
+                  for bits in itertools.product((False, True), repeat=t.rank)]
+        for theta, d, q, pfister in itertools.product(thetas, (1, 2, 3, 4, 6), (1, 2, 3, 5),
+                                                      (None, True, False)):
+            new = is_generically_split(t, theta, d, q, pfister)
+            old = old_is_generically_split(t, theta, d, q, pfister)
+            assert new is old, (t, sorted(theta), d, q, pfister)
+            outcomes.add(new)
+            cases += 1
+    assert cases == 57_960
+    assert outcomes == {True, False, UNKNOWN}
