@@ -1,7 +1,7 @@
 """Integer primitives shared by the table, the motive and the matrix code.
 
-Trial-division factorization, primality, prime-power detection, p-adic
-valuation and the fraction-free (Bareiss) determinant over Z.  Inputs
+Trial-division factorization, primality, prime-power detection, the
+Mobius function, p-adic valuation and the fraction-free (Bareiss) determinant over Z.  Inputs
 are desk-scale, so trial division is enough; nothing here imports a
 dependency or does work at import time.
 """
@@ -35,6 +35,12 @@ def prime_power(m: int) -> Optional[Tuple[int, int]]:
     """(p, n) if m = p^n for a prime p and n >= 1, else None."""
     factors = factorize(m)
     return factors[0] if len(factors) == 1 else None
+
+
+def mobius(n: int) -> int:
+    """mu(n) for n >= 1: (-1)^k if n is a product of k distinct primes, else 0."""
+    factors = factorize(n)
+    return 0 if any(e > 1 for _p, e in factors) else (-1) ** len(factors)
 
 
 def padic_valuation(n: int, p: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 # Unused here; perfbench/tracer.py swaps a traced proxy in at motive.sympy.
 import sympy  # noqa: F401
@@ -33,10 +33,11 @@ from .errors import (
     NotGenericallySplit,
     SearchBudgetExceeded,
 )
-from .integers import factorize, is_prime
+from .integers import factorize, is_prime, prime_power
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
+from .polynomial import (Poly, cyclotomic, cyclotomic_degrees, cyclotomic_exponents,
+                         degree_ratio)
 from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
 
 Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -196,13 +197,17 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
     generic splitness table is consulted first and a definite or
     unresolved failure raises NotGenericallySplit, naming the splitting
     vertices that theta covers; without Tits data the caller vouches for
-    splitness.  Half the Tits data, or a value below 1, is InvalidInput.
+    splitness.  Half the Tits data, a value below 1, or pfister without
+    Tits data is InvalidInput.
     """
     data = torsion_data(form, p)
     J = as_jinvariant(data, J)
-    if tits_index is not None or splitting_degree is not None:
-        if tits_index is None or splitting_degree is None:
-            raise InvalidInput("supply both tits_index and splitting_degree or neither")
+    tits = (tits_index, splitting_degree)
+    if tits.count(None) == 1:
+        raise InvalidInput("supply both tits_index and splitting_degree or neither")
+    if tits == (None, None) and pfister is not None:
+        raise InvalidInput("pfister needs the Tits data tits_index and splitting_degree")
+    if None not in tits:
         verdict = is_generically_split(form, theta, tits_index, splitting_degree, pfister)
         if verdict is UNKNOWN:
             raise NotGenericallySplit(
@@ -224,11 +229,13 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
 # Integral lifting via m-positive polynomials
 # ---------------------------------------------------------------------------
 
-# Largest divisor sub-box or coefficient box an exhaustive search may cover.
+# Largest divisor sub-box or L * q candidate count an exhaustive search may cover.
 _SEARCH_BUDGET = 2 ** 22
 # Largest worst-case coefficient work, sum phi(n) * deg f, of factoring
 # f into cyclotomic polynomials; an E8 complete flag (degree 120) needs 1.8M.
 _DIVISION_BUDGET = 2 ** 22
+
+Exponents = Tuple[int, ...]
 
 
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
@@ -270,7 +277,7 @@ def _totients(D: int) -> List[Tuple[int, int]]:
     return sorted(pairs)
 
 
-def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Tuple[int, ...]]:
+def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Exponents]:
     """(c, e) with the nonzero f = c * prod Phi_n^{e_n}, by exact division
     by each Phi_n with phi(n) <= the remaining degree.  Before the first
     division, the worst case of that trial division, sum phi(n) * D over
@@ -296,60 +303,168 @@ def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Tuple[int, ...]]:
     return f[0], tuple(e)
 
 
-def _m_positive_divisors(total: Poly, table: Dict[int, Poly]) -> List[Poly]:
-    """The m-positive divisors of total with positive leading coefficient.
-
-    Each contains the join of the summands' cyclotomic exponent vectors,
-    so only the sub-box join <= g <= e of the total's vector e, times the
-    positive divisors of its content, is built."""
+def _factor_all(total: Poly, table: Dict[int, Poly]
+                ) -> Tuple[int, Exponents, List[Tuple[int, Exponents]]]:
+    """(c, e, factors): total = c * prod Phi_n^{e_n} and, for each summand,
+    (c_s, need) with the summand c_s * prod Phi_n^{need_n}.  NoDivisor
+    names a Phi_n that a summand has more often than the total."""
     c, e = _cyclotomic_factors(total, "the total")
-    join = [0] * len(e)
+    factors = []
     for p, poly in table.items():
-        _c, need = _cyclotomic_factors(poly, "the p = %d summand" % p)
+        c_s, need = _cyclotomic_factors(poly, "the p = %d summand" % p)
         for n, (k, have) in enumerate(itertools.zip_longest(need, e, fillvalue=0), 1):
             if k > have:
                 raise NoDivisor("Phi_%d divides the p = %d summand %s, the total %s"
                                 % (n, p, _times(k), _times(have)))
-        join = [max(j, k) for j, k in itertools.zip_longest(join, need, fillvalue=0)]
-    atoms = ([(cyclotomic(n), lo, hi) for n, (lo, hi) in enumerate(zip(join, e), 1)]
-             + [(Poly([q]), 0, k) for q, k in factorize(abs(c))])
-    size = math.prod(hi - lo + 1 for _base, lo, hi in atoms)
+        factors.append((c_s, need))
+    return c, e, factors
+
+
+def _from_exponents(c: int, e: Iterable[int]) -> Poly:
+    """c * prod Phi_n^{e_n}, built as a degree ratio."""
+    sign, num, den = cyclotomic_degrees(e)
+    return degree_ratio(num, den) * (sign * c)
+
+
+def _join(vectors: Iterable[Exponents]) -> List[int]:
+    """The componentwise maximum of exponent vectors."""
+    return [max(col) for col in itertools.zip_longest(*vectors, fillvalue=0)]
+
+
+def _lcm(factors: List[Tuple[int, Exponents]]) -> Poly:
+    """L = lcm(c_s) * prod Phi_n^{join_n} of the summands c_s * prod
+    Phi_n^{need_n}: every m-positive polynomial is a multiple of L."""
+    return _from_exponents(math.lcm(*(c for c, _need in factors)),
+                           _join(need for _c, need in factors))
+
+
+def _value_at_one(n: int) -> int:
+    """Phi_n(1): 0 for n = 1, q for n a power of the prime q, else 1."""
+    power = prime_power(n)
+    return power[0] if power else int(n > 1)
+
+
+def _quotients_nonnegative(d: int, g: Exponents, factors: List[Tuple[int, Exponents]]
+                           ) -> bool:
+    """Is g = d * prod Phi_n^{g_n} divisible, with nonnegative quotient, by
+    every summand c_s * prod Phi_n^{need_n}, given need <= g?
+
+    The quotient (d / c_s) * prod Phi_n^{g_n - need_n} lies in Z[t]
+    exactly when c_s divides d, and then needs c_s > 0 and no Phi_1 left
+    (a nonzero polynomial vanishing at t = 1 has a negative coefficient).
+    The cyclotomic part is a degree ratio prod (1 - t^a) / prod (1 - t^b);
+    a geometric pairing proves it nonnegative unbuilt, else its
+    coefficients are built and scanned."""
+    for c, need in factors:
+        if c < 1 or d % c:
+            return False
+        k = [a - b for a, b in itertools.zip_longest(g, need, fillvalue=0)]
+        if k and k[0]:
+            return False
+        _sign, num, den = cyclotomic_degrees(k)
+        if not (_geometric_pairing(num, den) or degree_ratio(num, den).is_nonnegative):
+            return False
+    return True
+
+
+def _m_positive_divisors(c: int, e: Exponents, factors: List[Tuple[int, Exponents]]
+                         ) -> Iterator[Poly]:
+    """The m-positive divisors of c * prod Phi_n^{e_n} with positive
+    leading coefficient, lowest degree first, then largest value at
+    t = 1, then lexicographically smallest coefficients.
+
+    Each is d * prod Phi_n^{g_n} with the summands' join <= g <= e and d
+    a positive divisor of c; the sub-box size is checked against
+    _SEARCH_BUDGET first.  Both ranking keys come from the vector alone,
+    the degree as sum phi(n) g_n and the value as d * prod Phi_n(1)^{g_n},
+    and only the group of equal keys being walked is sign-checked and
+    built."""
+    phi = dict(_totients(len(e)))
+    join = _join(need for _c, need in factors)
+    atoms = [(phi[n], _value_at_one(n), range(lo, hi + 1))
+             for n, (lo, hi) in enumerate(itertools.zip_longest(join, e, fillvalue=0), 1)]
+    contents = [1]
+    for q, k in factorize(abs(c)):
+        contents = [d * q ** i for d in contents for i in range(k + 1)]
+    size = len(contents) * math.prod(len(powers) for _deg, _val, powers in atoms)
     if size > _SEARCH_BUDGET:
         raise SearchBudgetExceeded("divisor sub-box of %d exceeds budget %d"
                                    % (size, _SEARCH_BUDGET))
-    divisors = [Poly.one()]
-    for base, lo, hi in atoms:
-        powers = [base ** i for i in range(lo, hi + 1)]
-        divisors = [d * power for d in divisors for power in powers]
-    return [d for d in divisors if _divides_nonnegatively(d, table.values())]
+    items = [(0, d, d, ()) for d in contents]
+    for degree, value, powers in atoms:
+        items = [(deg + i * degree, val * value ** i, d, g + (i,))
+                 for deg, val, d, g in items for i in powers]
+    items.sort(key=lambda item: (item[0], -item[1]))
+    for _key, group in itertools.groupby(items, key=lambda item: (item[0], -item[1])):
+        yield from sorted((_from_exponents(d, g) for _deg, _val, d, g in group
+                           if _quotients_nonnegative(d, g, factors)),
+                          key=lambda f: f.coeffs)
 
 
 def _times(k: int) -> str:
     return "%d time%s" % (k, "" if k == 1 else "s")
 
 
+def _multiples_in_box(f: Poly, L: Poly) -> Iterator[Poly]:
+    """Every g = L * q with 0 <= g <= f coefficientwise, for L dividing f.
+
+    With D = deg f - deg L, the coefficients g_0, ..., g_D, each in
+    [0, f_i], fix q_i = (g_i - sum_{j >= 1} L_j q_{i-j}) / L_0 one at a
+    time (a g_i that L_0 does not divide is skipped); the higher g_i
+    follow from q and must lie in the box."""
+    N, dl, lead = f.degree, L.degree, L[0]
+    D = N - dl
+    q = [0] * (D + 1)
+
+    def extend(i: int) -> Iterator[Poly]:
+        if i > D:
+            tail = [sum(L[k - j] * q[j] for j in range(max(0, k - dl), D + 1))
+                    for k in range(D + 1, N + 1)]
+            if all(0 <= x <= f[k] for k, x in enumerate(tail, D + 1)):
+                yield L * Poly(q)
+            return
+        known = sum(L[j] * q[i - j] for j in range(1, min(i, dl) + 1))
+        for g_i in range(f[i] + 1):
+            if (g_i - known) % lead == 0:
+                q[i] = (g_i - known) // lead
+                yield from extend(i + 1)
+
+    return extend(0)
+
+
+def _splits(f: Poly, L: Poly, polys: List[Poly]) -> bool:
+    """Is the m-positive f a sum of two m-positive polynomials?  Both
+    parts are multiples of L inside the box 0 <= g <= f; the
+    prod_{i <= D} (f_i + 1) choices of their low coefficients are
+    checked against _SEARCH_BUDGET first."""
+    count = math.prod(f[i] + 1 for i in range(f.degree - L.degree + 1))
+    if count > _SEARCH_BUDGET:
+        raise SearchBudgetExceeded("coefficient box of %d exceeds budget %d"
+                                   % (count, _SEARCH_BUDGET))
+    return any(g != f and _divides_nonnegatively(g, polys)
+               and _divides_nonnegatively(f - g, polys) for g in _multiples_in_box(f, L))
+
+
 def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool:
     """Can f not be written as a sum of two m-positive polynomials?
 
-    Any m-positive summand has nonnegative coefficients, so both parts
-    of a decomposition sit inside the coefficient box 0 <= g <= f; the
-    box is searched exhaustively, which is feasible at desk scale.
+    Any m-positive part has nonnegative coefficients, so both parts of a
+    decomposition sit inside the coefficient box 0 <= g <= f, and each is
+    a multiple L * q of the summands' least common multiple
+    L = lcm(c_s) * prod Phi_n^{join_n}.  The low coefficients g_0..g_D,
+    D = deg f - deg L, fix q, so prod_{i <= D} (f_i + 1) candidates are
+    searched exhaustively after that count is checked against the
+    budget: 8 instead of the box's 4,096 for the paper's
+    1 + t + ... + t^11 at m = 6, where L has degree 9.  Each summand
+    must be c_s * prod Phi_n^{need_n}; NotDivisible names any other
+    cofactor.
     """
-    polys = list(_summand_map(m, summands).values())
+    table = _summand_map(m, summands)
+    polys = list(table.values())
     if not _divides_nonnegatively(f, polys):
         raise ValueError("f is not m-positive, indecomposability is moot")
-    box = math.prod(c + 1 for c in f.coeffs)
-    if box > _SEARCH_BUDGET:
-        raise SearchBudgetExceeded("coefficient box of %d exceeds budget %d"
-                                   % (box, _SEARCH_BUDGET))
-    ranges = [range(c + 1) for c in f.coeffs]
-    for combo in itertools.product(*ranges):
-        g = Poly(combo)
-        if not g or g == f:
-            continue
-        if _divides_nonnegatively(g, polys) and _divides_nonnegatively(f - g, polys):
-            return False
-    return True
+    factors = [_cyclotomic_factors(poly, "the p = %d summand" % p) for p, poly in table.items()]
+    return not _splits(f, _lcm(factors), polys)
 
 
 def integral_decomposition(total: Poly, m: int,
@@ -357,29 +472,34 @@ def integral_decomposition(total: Poly, m: int,
                            all_candidates: bool = False):
     """Minimal m-positive divisor of total and its twist multiplicities.
 
-    total must be c * prod Phi_n^{e_n} (NotDivisible names any other
-    cofactor).  Its m-positive divisors are searched in deterministic
-    preference order (lowest degree first, then largest value at t = 1,
-    then lexicographically smallest coefficients) for one that is not a
-    sum of two m-positive polynomials.  Returns (f, total / f); with
+    total and the summands must be c * prod Phi_n^{e_n} (NotDivisible
+    names any other cofactor).  The m-positive divisors contain the
+    summands' join; they are ranked by their exponent vectors alone in
+    deterministic preference order (lowest degree first, then largest
+    value at t = 1), and only the group being walked is sign-checked
+    and built, then ordered by lexicographically smallest coefficients.
+    The first that is not a sum of two m-positive polynomials (the L * q
+    search of is_sum_indecomposable) wins.  Returns (f, total / f); with
     all_candidates=True, the list of every minimal candidate of the best
     degree is returned instead, since minimal divisors need not be unique.
     """
     if not total:
         raise NoDivisor("the zero polynomial has no m-positive divisor")
     table = _summand_map(m, summands)
-    candidates = _m_positive_divisors(total, table)
-    if not candidates:
-        raise NoDivisor("no m-positive divisor of the given polynomial")
-    candidates.sort(key=lambda f: (f.degree, -f(1), f.coeffs))
+    c, e, factors = _factor_all(total, table)
+    L, polys = _lcm(factors), list(table.values())
     found: List[Poly] = []
-    for f in candidates:
+    positive = False
+    for f in _m_positive_divisors(c, e, factors):
+        positive = True
         if found and f.degree > found[0].degree:
             break
-        if is_sum_indecomposable(f, m, table.items()):
+        if not _splits(f, L, polys):
             found.append(f)
             if not all_candidates:
                 break
+    if not positive:
+        raise NoDivisor("no m-positive divisor of the given polynomial")
     if not found:
         raise NoDivisor("every m-positive divisor splits as a sum")
     if all_candidates:

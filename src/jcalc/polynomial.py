@@ -17,6 +17,7 @@ from operator import sub
 from typing import Iterable, Iterator, Tuple
 
 from .errors import NotDivisible
+from .integers import mobius
 
 
 class Poly:
@@ -255,6 +256,36 @@ def cyclotomic_exponents(num: Iterable[int], den: Iterable[int]) -> Tuple[int, .
     while e and e[-1] == 0:
         e.pop()
     return tuple(e)
+
+
+@functools.lru_cache(maxsize=None)
+def _mobius_divisors(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(d, mu(n / d)) for each divisor d of n with mu(n / d) != 0."""
+    return tuple((d, mobius(n // d)) for d in range(1, n + 1)
+                 if n % d == 0 and mobius(n // d))
+
+
+def cyclotomic_degrees(e: Iterable[int]) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(sign, num, den) with prod Phi_n^{e_n} = sign * prod_{a in num}
+    (1 - t^a) / prod_{b in den} (1 - t^b), the inverse of
+    cyclotomic_exponents.  By Phi_n = prod_{d | n} (1 - t^d)^{mu(n/d)}
+    for n >= 2 and Phi_1 = -(1 - t), degree d appears c_d = sum over the
+    multiples n of d of mu(n/d) e_n times, and sign = (-1)^{e_1}.
+
+    >>> cyclotomic_degrees((0, 1, 1))
+    (1, (2, 3), (1, 1))
+    >>> cyclotomic_degrees((1, 0, 0, 0, 0, 1))
+    (-1, (1, 1, 6), (2, 3))
+    """
+    e = tuple(e)
+    c = [0] * (len(e) + 1)
+    for n, k in enumerate(e, 1):
+        if k:
+            for d, mu in _mobius_divisors(n):
+                c[d] += mu * k
+    num = tuple(d for d, k in enumerate(c) for _ in range(k))
+    den = tuple(d for d, k in enumerate(c) for _ in range(-k))
+    return (-1 if e and e[0] % 2 else 1), num, den
 
 
 def degree_ratio(num: Iterable[int], den: Iterable[int]) -> Poly:

@@ -110,6 +110,14 @@ class TestExitCodes:
                 assert (status, out) == (1, ""), tits + mode
                 assert err.startswith("error:") and "Traceback" not in err
 
+    def test_decompose_rejects_pfister_without_tits_data(self, capsys):
+        argv = ["motive", "decompose", "--form", "SO7", "--p", "2", "--j", "0,0",
+                "--theta", "3", "--pfister", "no"]
+        for mode in ([], ["--json"]):
+            status, out, err = run(capsys, *argv, *mode)
+            assert (status, out) == (1, ""), mode
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_decompose_without_splitting_degree_in_a_process(self):
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
         proc = subprocess.run(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jcalc.idempotent_lab import ModMatrix
-from jcalc.integers import factorize, int_det, is_prime, padic_valuation, prime_power
+from jcalc.integers import factorize, int_det, is_prime, mobius, padic_valuation, prime_power
 
 from test_acceptance import _int_determinant
 
@@ -16,6 +16,16 @@ def brute_is_prime(n):
 @given(st.integers(min_value=-5, max_value=5000))
 def test_primality(n):
     assert is_prime(n) == brute_is_prime(n)
+
+
+@given(st.integers(min_value=1, max_value=3000))
+def test_mobius_sums_to_zero_over_divisors(n):
+    # sum_{d | n} mu(d) is 1 for n = 1 and 0 otherwise, which fixes mu
+    assert sum(mobius(d) for d in range(1, n + 1) if n % d == 0) == (n == 1)
+
+
+def test_mobius_examples():
+    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
 @given(st.integers(min_value=-5, max_value=100000))

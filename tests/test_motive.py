@@ -139,6 +139,15 @@ class TestDecompose:
             with pytest.raises(ValueError):
                 decompose(e8, 2, (1, 1, 1, 1), **tits)
 
+    def test_pfister_needs_tits_data(self):
+        b3 = parse_form("SO7")
+        for pfister in (True, False):
+            with pytest.raises(InvalidInput) as exc:
+                decompose(b3, 2, (0, 0), theta={3}, pfister=pfister)
+            assert str(exc.value) == ("pfister needs the Tits data tits_index and "
+                                      "splitting_degree")
+        assert decompose(b3, 2, (0, 0), theta={3}).summand_poincare == Poly.one()
+
     def test_invariant_of_construction(self):
         with pytest.raises(NotDivisible):
             MotiveDecomposition(Poly([1, 1]), Poly([1, 1]), Poly([1, 1]))
@@ -337,6 +346,21 @@ class TestIntegralDecomposition:
         two_copies = Poly([2]) * Poly.geometric(1, 12)
         assert not is_sum_indecomposable(two_copies, 6, SUMMANDS)
 
+    def test_lq_candidates_are_counted_against_the_budget(self, monkeypatch):
+        # 2 (1 + ... + t^11) at m = 6: the coefficient box holds 3^12 = 531,441
+        # polynomials, but the multiples of the summands' lcm L (degree 9) are
+        # fixed by their three lowest coefficients, 3^3 = 27 candidates
+        monkeypatch.setattr(motive, "_SEARCH_BUDGET", 2 ** 10)
+        two_copies = Poly([2]) * Poly.geometric(1, 12)
+        assert not is_sum_indecomposable(two_copies, 6, SUMMANDS)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            _box_indecomposable(two_copies, 6, SUMMANDS)
+        assert str(exc.value) == "coefficient box of 531441 exceeds budget 1024"
+        # with m = 1 the lcm is 1, so every coefficient is free
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            is_sum_indecomposable(Poly.geometric(1, 11), 1, [])
+        assert str(exc.value) == "coefficient box of 2048 exceeds budget 1024"
+
     def test_non_cyclotomic_total_names_its_cofactor(self):
         # (1 + t)(1 + 2t): Phi_2 comes out, 1 + 2t is no product of Phi_n
         with pytest.raises(NotDivisible) as exc:
@@ -345,23 +369,35 @@ class TestIntegralDecomposition:
 
     def test_e8_flags_end_before_any_lattice(self):
         # E8 at m = 30 with generic J: three flags lack a Phi_2 the mod-2
-        # summand needs, and one passes to a coefficient box of ~10^126;
-        # each must end before any divisor lattice is built
+        # summand needs, and each ends before any divisor is ranked.  The
+        # fourth has a coefficient box of ~10^126, but its first candidate
+        # is the lcm L of the three summands, whose only multiples in the
+        # box are 0 and L, so it is its own answer
         e8 = parse_form("E8")
         generic = {2: (3, 2, 1, 1), 3: (1, 1), 5: (1,)}
-        summands = [(p, rost_poincare(torsion_data(e8, p), j)) for p, j in generic.items()]
-        expected = {8: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 1 time"),
-                    1: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 2 times"),
-                    7: (NoDivisor, "Phi_2 divides the p = 2 summand 4 times, the total 3 times"),
-                    2: (SearchBudgetExceeded, "coefficient box of ")}
-        for vertex, (error, text) in expected.items():
+        data = {p: torsion_data(e8, p) for p in generic}
+        summands = [(p, rost_poincare(data[p], j)) for p, j in generic.items()]
+        expected = {8: "Phi_2 divides the p = 2 summand 4 times, the total 1 time",
+                    1: "Phi_2 divides the p = 2 summand 4 times, the total 2 times",
+                    7: "Phi_2 divides the p = 2 summand 4 times, the total 3 times"}
+        for vertex, text in expected.items():
             total = poincare_homogeneous(DynkinType("E", 8), set(range(1, 9)) - {vertex})
             start = time.perf_counter()
-            with pytest.raises(error) as exc:
+            with pytest.raises(NoDivisor) as exc:
                 integral_decomposition(total, 30, summands)
             assert time.perf_counter() - start < 5
-            assert str(exc.value).startswith(text)
-
+            assert str(exc.value) == text
+        needs = [cyclotomic_exponents(*motive.summand_degrees(data[p], JInvariant(data[p], j)))
+                 for p, j in generic.items()]
+        lcm = Poly.one()
+        for n, e in enumerate(itertools.zip_longest(*needs, fillvalue=0), 1):
+            lcm = lcm * cyclotomic(n) ** max(e)
+        total = poincare_homogeneous(DynkinType("E", 8), set(range(1, 9)) - {2})
+        start = time.perf_counter()
+        f, mult = integral_decomposition(total, 30, summands)
+        assert time.perf_counter() - start < 5
+        assert f == lcm and f.degree == 76 and f(1) == 2 ** 7 * 3 ** 2 * 5
+        assert f * mult == total
 
     def test_costly_trial_division_is_refused_first(self):
         # (1 + 3t + t^2)^150 * Phi_30, degree 308: trial division by the
@@ -414,17 +450,63 @@ def _divisors_by_sympy(total):
     return list(out.values())
 
 
+def _divisors_by_exact_division(total, m, summands):
+    """The m-positive divisors of total with positive leading coefficient,
+    as the search found them before it ranked exponent vectors: every
+    divisor of the sub-box join <= g <= e, times each positive divisor of
+    the content, built by Poly products and kept when an exact division
+    by each summand leaves a nonnegative quotient."""
+    table = motive._summand_map(m, summands)
+    c, e = motive._cyclotomic_factors(total, "the total")
+    join = [0] * len(e)
+    for p, poly in table.items():
+        _c, need = motive._cyclotomic_factors(poly, "the p = %d summand" % p)
+        if any(k > have for k, have in itertools.zip_longest(need, e, fillvalue=0)):
+            raise NoDivisor("the p = %d summand has a Phi_n the total lacks" % p)
+        join = [max(j, k) for j, k in itertools.zip_longest(join, need, fillvalue=0)]
+    atoms = ([(cyclotomic(n), lo, hi) for n, (lo, hi) in enumerate(zip(join, e), 1)]
+             + [(Poly([q]), 0, k) for q, k in factorize(abs(c))])
+    if math.prod(hi - lo + 1 for _base, lo, hi in atoms) > motive._SEARCH_BUDGET:
+        raise SearchBudgetExceeded("divisor sub-box exceeds budget")
+    divisors = [Poly.one()]
+    for base, lo, hi in atoms:
+        powers = [base ** i for i in range(lo, hi + 1)]
+        divisors = [d * power for d in divisors for power in powers]
+    return [d for d in divisors if is_m_positive(d, m, summands)]
+
+
+def _box_indecomposable(f, m, summands):
+    """is_sum_indecomposable as it was before the L * q search: every g in
+    the coefficient box 0 <= g <= f is tried as one part."""
+    if not is_m_positive(f, m, summands):
+        raise ValueError("f is not m-positive, indecomposability is moot")
+    box = math.prod(c + 1 for c in f.coeffs)
+    if box > motive._SEARCH_BUDGET:
+        raise SearchBudgetExceeded("coefficient box of %d exceeds budget %d"
+                                   % (box, motive._SEARCH_BUDGET))
+    for combo in itertools.product(*(range(c + 1) for c in f.coeffs)):
+        g = Poly(combo)
+        if g and g != f and is_m_positive(g, m, summands) and is_m_positive(f - g, m, summands):
+            return False
+    return True
+
+
+def _preference(f):
+    return f.degree, -f(1), f.coeffs
+
+
 def _integral_by_lattice(total, m, summands):
-    """integral_decomposition(..., all_candidates=True) over the sympy lattice."""
+    """integral_decomposition(..., all_candidates=True) over the sympy
+    lattice, with the coefficient-box search."""
     if not total:
         raise NoDivisor("the zero polynomial has no m-positive divisor")
     candidates = sorted((d for d in _divisors_by_sympy(total) if is_m_positive(d, m, summands)),
-                        key=lambda f: (f.degree, -f(1), f.coeffs))
+                        key=_preference)
     found = []
     for f in candidates:
         if found and f.degree > found[0].degree:
             break
-        if motive.is_sum_indecomposable(f, m, summands):
+        if _box_indecomposable(f, m, summands):
             found.append(f)
     if not found:
         raise NoDivisor("no m-positive divisor, or every one splits as a sum")
@@ -450,6 +532,29 @@ def _oracle_outcomes(total, m, summands):
     return every[0], every
 
 
+def _agree(new, old):
+    """Identical outcomes, except where the oracle ran out of budget: the
+    L * q search counts fewer candidates than the coefficient box, so it
+    may answer there, but it never runs out where the oracle answered."""
+    return new == old or old == (SearchBudgetExceeded, SearchBudgetExceeded)
+
+
+def _ranked(total, m, summands):
+    """Every m-positive divisor in the search's order, or the error class."""
+    try:
+        table = motive._summand_map(m, summands)
+        return list(motive._m_positive_divisors(*motive._factor_all(total, table)))
+    except (NoDivisor, SearchBudgetExceeded) as exc:
+        return type(exc)
+
+
+def _ranked_by_exact_division(total, m, summands):
+    try:
+        return sorted(_divisors_by_exact_division(total, m, summands), key=_preference)
+    except (NoDivisor, SearchBudgetExceeded) as exc:
+        return type(exc)
+
+
 def _flag_cases(series, rank, thetas):
     for theta in thetas:
         total = poincare_homogeneous(DynkinType(series, rank), set(theta))
@@ -457,11 +562,20 @@ def _flag_cases(series, rank, thetas):
             yield total, m, [(p, s) for p, s in SUMMANDS if m % p == 0]
 
 
+def _all_thetas(rank):
+    return [c for r in range(rank + 1) for c in itertools.combinations(range(1, rank + 1), r)]
+
+
+# every theta of G2 and F4, and a seeded sample of E6, at m = 2, 3, 6
+FLAG_CASES = (list(_flag_cases("G", 2, _all_thetas(2))) + list(_flag_cases("F", 4, _all_thetas(4)))
+              + list(_flag_cases("E", 6, random.Random(9).sample(_all_thetas(6), 6))))
+
+
 @pytest.fixture
 def box_search_once(monkeypatch):
-    """Both paths send the same candidates to the unchanged box search; run
-    each search once."""
-    search, seen = motive.is_sum_indecomposable, {}
+    """The oracle sends many candidates to the coefficient-box search more
+    than once; run each search once."""
+    search, seen = _box_indecomposable, {}
 
     def cached(f, m, summands):
         key = (f.coeffs, m, tuple((p, s.coeffs) for p, s in summands))
@@ -469,38 +583,85 @@ def box_search_once(monkeypatch):
             seen[key] = search(f, m, summands)
         return seen[key]
 
-    monkeypatch.setattr(motive, "is_sum_indecomposable", cached)
+    monkeypatch.setitem(globals(), "_box_indecomposable", cached)
 
 
 def test_integral_matches_sympy_lattice_on_flags(box_search_once):
-    # every theta of G2 and F4, and a seeded sample of E6, at m = 2, 3, 6
-    def thetas(rank):
-        return [c for r in range(rank + 1) for c in itertools.combinations(range(1, rank + 1), r)]
-
-    cases = (list(_flag_cases("G", 2, thetas(2))) + list(_flag_cases("F", 4, thetas(4)))
-             + list(_flag_cases("E", 6, random.Random(9).sample(thetas(6), 6))))
-    outcomes = [_integral_outcomes(*case) for case in cases]
-    assert outcomes == [_oracle_outcomes(*case) for case in cases]
+    outcomes = [_integral_outcomes(*case) for case in FLAG_CASES]
+    assert all(map(_agree, outcomes, [_oracle_outcomes(*case) for case in FLAG_CASES]))
     assert NoDivisor in {first for first, _every in outcomes}
+    assert SearchBudgetExceeded not in {first for first, _every in outcomes}
     assert any(isinstance(every, list) and len(every) > 1 for _first, every in outcomes)
 
 
+def test_ranked_divisors_match_exact_division_on_flags():
+    ranked = [_ranked(*case) for case in FLAG_CASES]
+    assert ranked == [_ranked_by_exact_division(*case) for case in FLAG_CASES]
+    assert sum(isinstance(r, list) and len(r) > 1 for r in ranked) > 10
+
+
+# Phi_n exponents of the summands 1 + t^3 and 1 + t^4 + t^8
+NEEDS = {2: {2: 1, 6: 1}, 3: {3: 1, 6: 1, 12: 1}}
+
+
 @settings(max_examples=60, deadline=None)
-@example({2: 1, 6: 1}, 2, 2, 2)
+@example({2: 1, 6: 1}, 2, 2, 2, False)
+@example({4: 1}, 1, 6, 1, True)
+@example({4: 1}, 2, 6, 1, True)
 @given(st.dictionaries(st.integers(1, 12), st.integers(1, 2), max_size=4),
-       st.integers(1, 6), st.sampled_from([2, 3, 6]), st.sampled_from([1, 2]))
+       st.integers(1, 6), st.sampled_from([2, 3, 6]), st.sampled_from([1, 2]), st.booleans())
 def test_integral_matches_sympy_lattice_on_cyclotomic_products(exponents, content, m,
-                                                              summand_content):
+                                                              summand_content, over_join):
     # c * prod Phi_n^{e_n}, Phi_1 and contents above 1 included; a summand
-    # with content 2 makes the content's divisors decide the answer
+    # with content 2 makes the content's divisors decide the answer.  With
+    # over_join the summands' own Phi_n are multiplied in, so that the
+    # search gets past the containment check
+    if over_join:
+        exponents = dict(exponents)
+        for n in {n for p in (2, 3) if m % p == 0 for n in NEEDS[p]}:
+            exponents[n] = exponents.get(n, 0) + 1
     total = Poly([content])
     for n, e in exponents.items():
         total = total * cyclotomic(n) ** e
     summands = [(p, s * summand_content) for p, s in SUMMANDS if m % p == 0]
-    # keep each coefficient-box search small; both paths share that check
+    # keep each coefficient-box search small
     original = motive._SEARCH_BUDGET
     motive._SEARCH_BUDGET = 2 ** 10
     try:
-        assert _integral_outcomes(total, m, summands) == _oracle_outcomes(total, m, summands)
+        assert _agree(_integral_outcomes(total, m, summands),
+                      _oracle_outcomes(total, m, summands))
+        assert _ranked(total, m, summands) == _ranked_by_exact_division(total, m, summands)
+    finally:
+        motive._SEARCH_BUDGET = original
+
+
+# The smallest m-positive polynomials for the summands 1 + t^3 and 1 + t^4 + t^8.
+M_POSITIVE = {2: [S2], 3: [S3], 6: [Poly.geometric(1, 12), S2 * S3]}
+
+
+@settings(max_examples=80, deadline=None)
+@example(6, 1, [[1]], [])
+@example(6, 2, [[0], [1]], [])
+@example(2, 1, [[1, 0, 0, 1]], [])
+@given(st.sampled_from([2, 3, 6]), st.sampled_from([1, 2]),
+       st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any),
+                min_size=1, max_size=2),
+       st.lists(st.integers(0, 1), max_size=3))
+def test_lq_search_matches_box_search(m, summand_content, parts, shift):
+    # f = sum of (m-positive basic) * (nonnegative q), optionally times a
+    # nonnegative cofactor; both searches see the same f and budget
+    summands = [(p, s * summand_content) for p, s in SUMMANDS if m % p == 0]
+    f = Poly.zero()
+    for basic, q in zip(itertools.cycle(M_POSITIVE[m]), parts):
+        f = f + basic * Poly(q) * summand_content
+    f = f * (Poly(shift) if any(shift) else Poly.one())
+    original = motive._SEARCH_BUDGET
+    motive._SEARCH_BUDGET = 2 ** 12
+    try:
+        try:
+            expected = _box_indecomposable(f, m, summands)
+        except SearchBudgetExceeded:
+            return
+        assert is_sum_indecomposable(f, m, summands) is expected
     finally:
         motive._SEARCH_BUDGET = original

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from jcalc.errors import NotDivisible
-from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents, degree_ratio
+from jcalc.polynomial import (Poly, cyclotomic, cyclotomic_degrees, cyclotomic_exponents,
+                              degree_ratio)
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
@@ -146,6 +147,24 @@ degree_lists = st.lists(st.integers(1, 60), max_size=12)
 def test_cyclotomic_exponents_match_old_counting(num, den):
     assert cyclotomic_exponents(num, den) == old_cyclotomic_exponents(num, den)
     assert cyclotomic_exponents(num + den, den + num) == ()
+
+
+@given(st.dictionaries(st.integers(1, 30), st.integers(0, 3), max_size=5))
+@example({})
+@example({1: 1})
+@example({1: 2, 6: 1})
+@example({30: 2})
+def test_cyclotomic_degrees_invert_cyclotomic_exponents(exponents):
+    e = tuple(exponents.get(n, 0) for n in range(1, max(exponents, default=0) + 1))
+    sign, num, den = cyclotomic_degrees(e)
+    stripped = list(e)
+    while stripped and stripped[-1] == 0:
+        stripped.pop()
+    assert cyclotomic_exponents(num, den) == tuple(stripped)
+    expected = Poly.one()
+    for n, k in exponents.items():
+        expected = expected * cyclotomic(n) ** k
+    assert sign * degree_ratio(num, den) == expected
 
 
 def test_str():
