@@ -22,6 +22,7 @@ from .errors import (
     DeterminantNotOne,
     HypothesisViolated,
     InternalInconsistency,
+    InvalidInput,
     NotAFamily,
     NotAlmostIdempotent,
     ParseError,
@@ -32,11 +33,16 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def _require_prime_power(m: int) -> Tuple[int, int]:
-    """(p, n) with m = p^n; ValueError when m is not a prime power."""
+    """(p, n) with m = p^n; InvalidInput when m is not a prime power."""
     pp = prime_power(m)
     if pp is None:
-        raise ValueError("modulus %d is not a prime power" % m)
+        raise InvalidInput("modulus %d is not a prime power" % m)
     return pp
+
+
+def _require_modulus(m: int) -> None:
+    if m < 2:
+        raise InvalidInput("modulus must be at least 2, got %d" % m)
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,7 @@ class ModMatrix:
     entries: IntMatrix
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        _require_modulus(self.modulus)
         rows = tuple(tuple(int(x) % self.modulus for x in row) for row in self.entries)
         size = len(rows)
         if any(len(row) != size for row in rows):
@@ -415,8 +420,7 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 
 def crt_split(m: int) -> CrtSplitting:
     """Prime factorization of m with invertible residue transport."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
+    _require_modulus(m)
     return CrtSplitting(m, tuple(factorize(m)))
 
 
@@ -541,6 +545,7 @@ def mod_inverse(matrix: ModMatrix) -> ModMatrix:
 
 def random_unimodular(rng, modulus: int, size: int) -> ModMatrix:
     """Random product of 3 * size transvections; determinant 1 by construction."""
+    _require_modulus(modulus)
     rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for _ in range(3 * size):
         i, j = rng.randrange(size), rng.randrange(size)
@@ -582,6 +587,8 @@ def random_isomorphism_instance(rng, modulus: int, size: int):
     the hypotheses only survive mod p.
     """
     p, _n = _require_prime_power(modulus)
+    if size < 2:
+        raise InvalidInput("an isomorphism instance needs size at least 2, got %d" % size)
     rank = rng.randrange(1, size)
     diag = _part_diagonal(modulus, size, 0, rank)
     g, h = random_unimodular(rng, modulus, size), random_unimodular(rng, modulus, size)

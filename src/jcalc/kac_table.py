@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, UnsupportedForm
+from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
 from .integers import factorize, is_prime, padic_valuation
 from .root_data import DynkinType
 
@@ -118,10 +118,18 @@ class GroupForm:
 _FORM_SUFFIXES = ("halfspin", "pgsp", "spin", "pgo", "so", "sc", "ad", "hs")
 
 # Classical aliases: a prefix that is also the isogeny tag (but for sl
-# and pgl), the dimension n, then "mu" and whatever follows it (int()
+# and pgl), the dimension n, then "mu" and whatever follows it (_mu
 # judges that text, as it does a Dynkin "mu" tag).
 _CLASSICAL = re.compile(r"(halfspin|pgsp|spin|pgo|pgl|so|sl|sp)(\d+)(?:mu(.*))?", re.DOTALL)
 _DYNKIN = re.compile(r"([A-Ga-g])(\d+)(.*)", re.DOTALL)
+
+
+def _mu(tail: str, text: str) -> int:
+    try:
+        return int(tail)
+    except ValueError:
+        raise InvalidInput("the mu tag of form %r needs an integer, got %r"
+                           % (text, tail)) from None
 
 
 def parse_form(text: str) -> GroupForm:
@@ -134,7 +142,7 @@ def parse_form(text: str) -> GroupForm:
     match = _CLASSICAL.fullmatch(raw.lower())
     if match:
         prefix, n, mu_text = match.group(1), int(match.group(2)), match.group(3)
-        mu = 1 if mu_text is None else int(mu_text)
+        mu = 1 if mu_text is None else _mu(mu_text, text)
         if mu != 1 and prefix != "sl":
             raise UnsupportedForm("mu only applies to SL forms")
         if prefix in ("sl", "pgl"):
@@ -151,7 +159,7 @@ def parse_form(text: str) -> GroupForm:
     base = DynkinType(match.group(1).upper(), int(match.group(2)))
     tag = match.group(3).strip().lower()
     if tag.startswith("mu"):
-        return GroupForm(base, "slmu", int(tag[2:]))
+        return GroupForm(base, "slmu", _mu(tag[2:], text))
     if tag in _FORM_SUFFIXES or not tag:
         return GroupForm(base, tag or "sc")
     raise UnsupportedForm("cannot parse form %r" % (text,))

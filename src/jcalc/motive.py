@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-# Unused here; perfbench/tracer.py swaps a traced proxy in at motive.sympy.
-import sympy  # noqa: F401
-
 from .errors import (
     InvalidInput,
     MissingPrime,
@@ -39,6 +36,9 @@ from .kac_table import GroupForm, TorsionData, torsion_data
 from .polynomial import (Poly, cyclotomic, cyclotomic_degrees, cyclotomic_exponents,
                          degree_ratio)
 from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
+
+# Nothing here reads this name; perfbench/tracer.py swaps a traced proxy in at it.
+sympy = None
 
 Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -161,9 +161,14 @@ def _geometric_pairing(num: Iterable[int], den: Iterable[int]) -> bool:
     (1 - t^a) / (1 - t^b) = 1 + t^b + ... + t^(a - b) with b | a?
 
     Common degrees cancel; then each remaining b, largest first, takes the
-    first remaining a that it divides.  True proves the ratio a polynomial
-    with nonnegative coefficients.  False proves nothing: the greedy
-    matching can miss, and a ratio without one can still be nonnegative.
+    smallest free a that it divides, or an augmenting path (Kuhn) frees
+    one, so the matching found is a maximum one.  True proves the ratio a
+    polynomial with nonnegative coefficients.  False says only that no
+    such pairing exists: the ratio can still be nonnegative, as
+    (5, 6) / (2, 3) is.
+
+    >>> _geometric_pairing((6, 9), (2, 3))    # 9 over 3 and 6 over 2
+    True
     """
     tops, bottoms = list(num), []
     for b in den:
@@ -174,14 +179,31 @@ def _geometric_pairing(num: Iterable[int], den: Iterable[int]) -> bool:
     if len(tops) != len(bottoms):
         return False
     tops.sort()
-    for b in sorted(bottoms, reverse=True):
+    bottoms.sort(reverse=True)
+    holder: List[Optional[int]] = [None] * len(tops)   # the b that holds tops[i]
+    for j, b in enumerate(bottoms):
         for i, a in enumerate(tops):
-            if a % b == 0:
-                del tops[i]
+            if holder[i] is None and a % b == 0:
+                holder[i] = j
                 break
         else:
-            return False
+            if not _augment(tops, bottoms, holder, j, set()):
+                return False
     return True
+
+
+def _augment(tops: List[int], bottoms: List[int], holder: List[Optional[int]], j: int,
+             seen: set) -> bool:
+    """Give bottoms[j] a multiple among tops, moving the b holding one on
+    along a path that ends at a free multiple; seen marks the tops tried."""
+    b = bottoms[j]
+    for i, a in enumerate(tops):
+        if i not in seen and a % b == 0:
+            seen.add(i)
+            if holder[i] is None or _augment(tops, bottoms, holder, holder[i], seen):
+                holder[i] = j
+                return True
+    return False
 
 
 def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,

@@ -67,8 +67,8 @@ class DynkinType:
     @classmethod
     def parse(cls, text: str) -> "DynkinType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in SERIES or not text[1:].isdigit():
-            raise ValueError("cannot parse Dynkin type from %r" % (text,))
+        if len(text) < 2 or text[0].upper() not in SERIES or not text[1:].isdecimal():
+            raise InvalidInput("cannot parse Dynkin type from %r" % (text,))
         return cls(text[0].upper(), int(text[1:]))
 
 

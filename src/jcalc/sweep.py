@@ -31,8 +31,9 @@ Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b)
   polynomial, so one dict keyed on them serves every row.  `divisions`
   still counts the distinct pairs of each row.
 * A geometric-pairing certificate.  After common degrees cancel, if
-  every b of the quotient pairs with a distinct a that it divides, the
-  quotient is a product of geometric sums and passes unbuilt.
+  every b of the quotient pairs with a distinct a that it divides (a
+  maximum matching), the quotient is a product of geometric sums and
+  passes unbuilt.
   Otherwise motive.twist_multiplicities decides, and it alone writes
   failure witnesses.
 

@@ -118,6 +118,30 @@ class TestExitCodes:
             assert (status, out) == (1, ""), mode
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_bad_forms_types_and_moduli_are_exit_1(self, capsys):
+        cases = [
+            (["jinv", "check", "--form", "SL10mu", "--p", "2", "--j", "1"], "mu tag"),
+            (["jinv", "check", "--form", "A9mux", "--p", "2", "--j", "1"], "mu tag"),
+            (["jinv", "enumerate", "--form", "A9mu", "--p", "2"], "mu tag"),
+            (["flag", "poincare", "--type", "Q3"], "cannot parse"),
+            (["flag", "poincare", "--type", "A\u00b2"], "cannot parse"),
+            (["lift", "idempotent", "--matrix", "1,0;0,1", "--modulus", "6"], "prime power"),
+            (["lift", "family", "--modulus", "6", "--matrix", "1"], "prime power"),
+            (["lift", "izvrat", "--demo", "--modulus", "1"], "prime power"),
+            (["lift", "izvrat", "--demo", "--size", "1"], "size at least 2"),
+            (["lift", "crt", "--m", "0"], "at least 2"),
+            (["lift", "crt", "--m", "1"], "at least 2"),
+            (["lift", "idempotent", "--matrix", "1", "--modulus", "1"], "at least 2"),
+            (["lift", "sl", "--demo", "--modulus", "0"], "at least 2"),
+            (["lift", "sl", "--demo", "--modulus", "1"], "at least 2"),
+        ]
+        for argv, message in cases:
+            for mode in ([], ["--json"]):
+                status, out, err = run(capsys, *argv, *mode)
+                assert (status, out) == (1, ""), argv + mode
+                assert err.startswith("error:") and message in err, argv + mode
+                assert "Traceback" not in err
+
     def test_decompose_without_splitting_degree_in_a_process(self):
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
         proc = subprocess.run(

@@ -193,6 +193,9 @@ def test_geometric_pairing_certifies_only_nonnegative_polynomials(case):
         quotient = degree_ratio(num, den)
         assert quotient * _product(den) == _product(num)
         assert quotient.is_nonnegative
+    # the planted pairs and common degrees are a full pairing, so a maximum
+    # matching finds one
+    assert motive._geometric_pairing(num, den) or extra_num or extra_den
 
 
 def test_geometric_pairing_is_sufficient_only():
@@ -207,9 +210,47 @@ def test_geometric_pairing_is_sufficient_only():
     # 1 + t^2 + t^3 + t^4 + t^6 is nonnegative, but 5 pairs with neither 2 nor 3
     assert not motive._geometric_pairing((5, 6), (2, 3))
     assert degree_ratio((5, 6), (2, 3)) == Poly([1, 0, 1, 1, 1, 0, 1])
-    # 9 over 3 and 6 over 2 would do, but the greedy matching gives 6 to 3
-    assert not motive._geometric_pairing((6, 9), (2, 3))
-    assert degree_ratio((6, 9), (2, 3)).is_nonnegative
+    # 9 over 3 and 6 over 2, although 3 divides 6 too
+    assert motive._geometric_pairing((6, 9), (2, 3))
+    assert motive._geometric_pairing((6, 9, 12), (2, 3, 4))
+
+
+def _pairing_by_permutations(num, den):
+    """Some order of num puts a multiple of den[i] at every place i."""
+    return len(num) == len(den) and any(
+        all(a % b == 0 for a, b in zip(order, den)) for order in itertools.permutations(num))
+
+
+def test_geometric_pairing_matches_permutation_oracle():
+    multisets = [m for size in range(4)
+                 for m in itertools.combinations_with_replacement(range(1, 9), size)]
+    found = 0
+    for num in multisets:
+        for den in multisets:
+            expected = _pairing_by_permutations(num, den)
+            assert motive._geometric_pairing(num, den) == expected, (num, den)
+            found += expected
+    assert found > 1000
+
+
+# Each (b, m, r) puts b in the denominator and b m in the numerator, or r
+# in its place when r is drawn, so some lists pair and some do not.
+near_pairings = st.tuples(
+    st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4),
+                       st.one_of(st.none(), st.integers(1, 24))), max_size=6),
+    st.randoms(use_true_random=False))
+
+
+@given(near_pairings)
+@example(([(2, 3, None), (3, 3, None)], random.Random(0)))
+@example(([(2, 2, 12), (3, 2, None), (4, 3, None), (5, 2, None), (6, 1, 9)],
+          random.Random(0)))
+def test_geometric_pairing_matches_permutation_oracle_on_longer_lists(case):
+    triples, rng = case
+    num = [b * m if r is None else r for b, m, r in triples]
+    den = [b for b, _m, _r in triples]
+    rng.shuffle(num)
+    assert motive._geometric_pairing(num, den) == _pairing_by_permutations(num, den)
 
 
 def _decompose_by_division(form, p, J, theta):

@@ -272,13 +272,14 @@ def test_sweep_matches_per_row_oracle_with_every_vertex_certified(monkeypatch, m
 
 
 @pytest.mark.parametrize("max_rank, counts", [
-    (8, (71, 49_694, 8_123, 4_247)),
-    (10, (89, 245_577, 22_176, 11_859)),
-    (12, (110, 1_638_895, 67_310, 35_871)),
+    (8, (71, 49_694, 8_123, 4_247, 4_192)),
+    (10, (89, 245_577, 22_176, 11_859, 11_795)),
+    (12, (110, 1_638_895, 67_310, 35_871, 35_551)),
 ])
 def test_sweep_pins(max_rank, counts):
     report = run_divisibility_sweep(max_rank)
-    assert (report.rows, report.cases, report.divisions, report.verdicts) == counts
+    assert (report.rows, report.cases, report.divisions, report.verdicts,
+            report.certified) == counts
     assert report.failures == []
     # some verdicts need the fallback, and every one of them passes there
     assert 0 < report.certified < report.verdicts
