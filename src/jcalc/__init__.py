@@ -26,12 +26,10 @@ from .errors import (
 )
 from .idempotent_lab import (
     CrtSplitting,
-    GradedEndo,
     ModMatrix,
     crt_split,
     lift_idempotent,
     lift_isomorphism,
-    lift_isomorphism_graded,
     lift_orthogonal_family,
     mod_inverse,
     random_idempotent_family,
@@ -91,12 +89,9 @@ from .sweep import (
 )
 from .truncated_ring import (
     RingElement,
-    deglex_compare,
     deglex_key,
     j_from_generators,
-    j_from_subring,
     lucas_binom,
-    multi_binom,
     subring_closure,
 )
 

@@ -71,7 +71,7 @@ def _summand(text: str) -> Tuple[int, Poly]:
 
 
 def _context(args) -> TorsionData:
-    return TorsionData(args.p, _int_list(args.d), _int_list(args.k))
+    return TorsionData(args.p, args.d, args.k)
 
 
 def _matrix_from_args(args) -> ModMatrix:
@@ -122,7 +122,7 @@ def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_jinv_check(args) -> Tuple[object, List[str]]:
-    form, j = parse_form(args.form), _int_list(args.j)
+    form, j = parse_form(args.form), args.j
     try:
         ok = is_admissible(j, form, args.p)
     except ValueError as exc:  # a non-prime --p or a --j entry outside 0..k_i
@@ -141,14 +141,13 @@ def _cmd_ring_j_from_gens(args) -> Tuple[object, List[str]]:
 
 def _cmd_motive_rost(args) -> Tuple[object, List[str]]:
     data = _context(args)
-    poly = rost_poincare(data, _int_list(args.j))
+    poly = rost_poincare(data, args.j)
     return {"poincare": list(poly.coeffs)}, [str(poly)]
 
 
 def _cmd_motive_decompose(args) -> Tuple[object, List[str]]:
     form = parse_form(args.form)
-    dec = decompose(form, args.p, _int_list(args.j),
-                    theta=_int_list(args.theta) if args.theta else None,
+    dec = decompose(form, args.p, args.j, theta=args.theta,
                     tits_index=args.tits_index,
                     splitting_degree=args.splitting_degree,
                     pfister=_pfister(args.pfister))
@@ -162,44 +161,39 @@ def _cmd_motive_decompose(args) -> Tuple[object, List[str]]:
 
 def _cmd_motive_candim(args) -> Tuple[object, List[str]]:
     data = _context(args)
-    value = canonical_p_dimension(data, _int_list(args.j))
+    value = canonical_p_dimension(data, args.j)
     return {"candim": value}, [str(value)]
 
 
 def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
-    j = _int_list(args.j)
     if args.d or args.k:
         # validate against a full context when one is supplied
-        bound = torsion_index_bound(JInvariant(_context(args), j))
-    elif not is_prime(args.p) or min(j, default=0) < 0:
+        bound = torsion_index_bound(JInvariant(_context(args), args.j))
+    elif not is_prime(args.p) or min(args.j, default=0) < 0:
         raise ParseError("--p must be a prime and --j nonnegative, got p = %d, j = %s"
-                         % (args.p, args.j))
+                         % (args.p, ",".join(map(str, args.j))))
     else:
-        bound = args.p ** sum(j)
-    return {"p": args.p, "j": list(j), "bound": bound}, [str(bound)]
+        bound = args.p ** sum(args.j)
+    return {"p": args.p, "j": list(args.j), "bound": bound}, [str(bound)]
 
 
 def _cmd_motive_integral(args) -> Tuple[object, List[str]]:
-    if args.m < 1:
-        raise ParseError("--m must be positive, got %d" % args.m)
-    total = _poly(args.total)
-    summands = list(args.summand)
     if args.all:
-        results = integral_decomposition(total, args.m, summands, all_candidates=True)
+        results = integral_decomposition(args.total, args.m, args.summand,
+                                         all_candidates=True)
         payload = [{"summand": list(f.coeffs), "multiplicities": list(mult.coeffs)}
                    for f, mult in results]
         lines = ["%s  x  %s" % (f, mult) for f, mult in results]
         return payload, lines
-    f, mult = integral_decomposition(total, args.m, summands)
+    f, mult = integral_decomposition(args.total, args.m, args.summand)
     payload = {"summand": list(f.coeffs), "multiplicities": list(mult.coeffs),
-               "total": list(total.coeffs)}
+               "total": list(args.total.coeffs)}
     return payload, ["summand:        %s" % f, "multiplicities: %s" % mult]
 
 
 def _cmd_flag_poincare(args) -> Tuple[object, List[str]]:
     t = DynkinType.parse(args.type)
-    theta = _int_list(args.theta) if args.theta else None
-    poly = poincare_homogeneous(t, theta)
+    poly = poincare_homogeneous(t, args.theta)
     return {"poincare": list(poly.coeffs)}, [str(poly)]
 
 
@@ -282,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit exactly one JSON document")
+    ctx = argparse.ArgumentParser(add_help=False)
+    ctx.add_argument("--p", type=int, required=True)
+    ctx.add_argument("--d", type=_int_list, required=True, help="codimensions, e.g. 3,5")
+    ctx.add_argument("--k", type=_int_list, required=True, help="exponents, e.g. 2,1")
     top = parser.add_subparsers(dest="group", required=True)
 
     table = top.add_parser("table", help="torsion table queries").add_subparsers(
@@ -302,52 +300,48 @@ def build_parser() -> argparse.ArgumentParser:
     check = jinv.add_parser("check", help="test one value against the table rules", parents=[common])
     check.add_argument("--form", required=True)
     check.add_argument("--p", type=int, required=True)
-    check.add_argument("--j", required=True, help="comma list, e.g. 1,1,0")
+    check.add_argument("--j", type=_int_list, required=True, help="comma list, e.g. 1,1,0")
     check.set_defaults(handler=_cmd_jinv_check)
 
     ring = top.add_parser("ring", help="truncated ring calculations").add_subparsers(
         dest="verb", required=True)
     jfg = ring.add_parser("j-from-gens",
-                          help="J-invariant of the subring generated by elements", parents=[common])
-    jfg.add_argument("--p", type=int, required=True)
-    jfg.add_argument("--d", required=True, help="codimensions, e.g. 3,5")
-    jfg.add_argument("--k", required=True, help="exponents, e.g. 2,1")
+                          help="J-invariant of the subring generated by elements",
+                          parents=[common, ctx])
     jfg.add_argument("gens", nargs="*", help="elements like '1 + 2*x1^3*x2'")
     jfg.set_defaults(handler=_cmd_ring_j_from_gens)
 
     motive = top.add_parser("motive", help="decomposition calculators").add_subparsers(
         dest="verb", required=True)
-    rost = motive.add_parser("rost-poincare", help="summand Poincare polynomial", parents=[common])
-    for flag_name in ("--p", "--d", "--k", "--j"):
-        rost.add_argument(flag_name, required=True,
-                          type=int if flag_name == "--p" else str)
+    rost = motive.add_parser("rost-poincare", help="summand Poincare polynomial",
+                             parents=[common, ctx])
+    rost.add_argument("--j", type=_int_list, required=True)
     rost.set_defaults(handler=_cmd_motive_rost)
 
     dec = motive.add_parser("decompose", help="twist multiplicities of a flag variety", parents=[common])
     dec.add_argument("--form", required=True)
     dec.add_argument("--p", type=int, required=True)
-    dec.add_argument("--j", required=True)
-    dec.add_argument("--theta", help="parabolic vertices, e.g. 1,2 (default: Borel)")
+    dec.add_argument("--j", type=_int_list, required=True)
+    dec.add_argument("--theta", type=_int_list,
+                     help="parabolic vertices, e.g. 1,2 (default: Borel)")
     dec.add_argument("--tits-index", type=int, dest="tits_index")
     dec.add_argument("--splitting-degree", type=int, dest="splitting_degree")
     dec.add_argument("--pfister", choices=("yes", "no"))
     dec.set_defaults(handler=_cmd_motive_decompose)
 
-    candim = motive.add_parser("candim", help="canonical p-dimension", parents=[common])
-    for flag_name in ("--p", "--d", "--k", "--j"):
-        candim.add_argument(flag_name, required=True,
-                            type=int if flag_name == "--p" else str)
+    candim = motive.add_parser("candim", help="canonical p-dimension", parents=[common, ctx])
+    candim.add_argument("--j", type=_int_list, required=True)
     candim.set_defaults(handler=_cmd_motive_candim)
 
     bound = motive.add_parser("torsion-bound", help="p-power bound for the torsion index", parents=[common])
     bound.add_argument("--p", type=int, required=True)
-    bound.add_argument("--j", required=True)
-    bound.add_argument("--d", default="")
-    bound.add_argument("--k", default="")
+    bound.add_argument("--j", type=_int_list, required=True)
+    bound.add_argument("--d", type=_int_list, default="")
+    bound.add_argument("--k", type=_int_list, default="")
     bound.set_defaults(handler=_cmd_motive_torsion_bound)
 
     integral = motive.add_parser("integral", help="minimal m-positive divisor", parents=[common])
-    integral.add_argument("--total", required=True, help="coefficients c0,c1,...")
+    integral.add_argument("--total", type=_poly, required=True, help="coefficients c0,c1,...")
     integral.add_argument("--m", type=int, required=True)
     integral.add_argument("--summand", type=_summand, action="append", required=True,
                           help="p:c0,c1,... (repeatable)")
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True)
     fp = flag.add_parser("poincare", help="P(G/P_theta, t)", parents=[common])
     fp.add_argument("--type", required=True, help="Dynkin type, e.g. E8 or D5")
-    fp.add_argument("--theta", help="parabolic vertices, e.g. 1,3")
+    fp.add_argument("--theta", type=_int_list, help="parabolic vertices, e.g. 1,3")
     fp.set_defaults(handler=_cmd_flag_poincare)
 
     lift = top.add_parser("lift", help="idempotent lab").add_subparsers(

@@ -57,7 +57,7 @@ class ModMatrix:
         rows = tuple(tuple(int(x) % self.modulus for x in row) for row in self.entries)
         size = len(rows)
         if any(len(row) != size for row in rows):
-            raise ValueError("matrix must be square")
+            raise InvalidInput("matrix must be square")
         object.__setattr__(self, "entries", rows)
 
     # -- constructors ---------------------------------------------------
@@ -103,7 +103,6 @@ class ModMatrix:
             return ModMatrix(self.modulus,
                              tuple(tuple(other * a for a in row) for row in self.entries))
         self._check(other)
-        n = self.size
         cols = list(zip(*other.entries))
         return ModMatrix(self.modulus, tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -154,42 +153,6 @@ class ModMatrix:
         if size is not None and mat.size != size:
             raise ParseError("header says size %d, body has %d rows" % (size, mat.size))
         return mat
-
-
-@dataclass(frozen=True)
-class GradedEndo:
-    """A matrix endomorphism of a graded module, slots tagged by degree.
-
-    ``degrees[i]`` is the degree of the i-th basis vector; the degree-d
-    component of the matrix maps the slot of degree g into degree g - d.
-    """
-
-    matrix: ModMatrix
-    degrees: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        if len(self.degrees) != self.matrix.size:
-            raise ValueError("one degree per basis vector required")
-
-    def component(self, d: int) -> "GradedEndo":
-        entries = tuple(
-            tuple(x if self.degrees[i] == self.degrees[j] - d else 0
-                  for j, x in enumerate(row))
-            for i, row in enumerate(self.matrix.entries))
-        return GradedEndo(ModMatrix(self.matrix.modulus, entries), self.degrees)
-
-    @property
-    def support_degrees(self) -> List[int]:
-        out = set()
-        for i, row in enumerate(self.matrix.entries):
-            for j, x in enumerate(row):
-                if x:
-                    out.add(self.degrees[j] - self.degrees[i])
-        return sorted(out)
-
-    def is_homogeneous(self, d: int) -> bool:
-        return self.support_degrees in ([], [d])
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +307,6 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
     if theta12 * theta21 != phi2 or theta21 * theta12 != phi1:
         raise InternalInconsistency("lifted isomorphisms fail their defining identities")
     return theta12, theta21
-
-
-def lift_isomorphism_graded(phi1: GradedEndo, phi2: GradedEndo,
-                            psi12: GradedEndo, psi21: GradedEndo,
-                            degree: int = 0) -> Tuple[GradedEndo, GradedEndo]:
-    """Graded wrapper: lift, then take the homogeneous components.
-
-    With phi's of degree 0 and psi12 of degree d, psi21 of degree -d,
-    the construction is automatically homogeneous; for inhomogeneous
-    inputs the component extraction picks out the part that still
-    satisfies the identities together with the degree-0 idempotents.
-    """
-    degrees = phi1.degrees
-    for g in (phi2, psi12, psi21):
-        if g.degrees != degrees:
-            raise ValueError("graded endomorphisms over different gradings")
-    t12, t21 = lift_isomorphism(phi1.matrix, phi2.matrix, psi12.matrix, psi21.matrix)
-    g12 = GradedEndo(t12, degrees)
-    g21 = GradedEndo(t21, degrees)
-    if psi12.is_homogeneous(degree) and psi21.is_homogeneous(-degree) \
-            and phi1.is_homogeneous(0) and phi2.is_homogeneous(0):
-        g12, g21 = g12.component(degree), g21.component(-degree)
-        if g12.matrix * g21.matrix != phi2.matrix or g21.matrix * g12.matrix != phi1.matrix:
-            raise InternalInconsistency("homogeneous components lost the identities")
-    return g12, g21
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ with binomial gates evaluated mod p at check time).
 
 Rows for the classical families SO_n, Spin_n, PGO_2n, half-spin and
 PGSp_n are generated from closed formulas in n; the exceptional rows are
-embedded literals.  Generators with k_i = 0 are identically zero in the
-quotient and are dropped (this happens for PGO_2n with n odd, whose
-codimension-1 generator has 2^0 exactly dividing n; the surviving data
-then agrees with the SL/mu description of the same group).
+embedded literals.  The PGO_2n and half-spin rows are built from the
+SO_2n row: PGO_2n puts a generator of codimension 1 and exponent v_2(n)
+in front of it (absent for n odd, where the row is exactly SO_2n's),
+and half-spin gives its first generator the exponent v_2(n).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
 from .integers import factorize, is_prime, padic_valuation
@@ -188,13 +188,13 @@ class TorsionData:
         if not is_prime(self.p):
             raise ValueError("p = %r is not prime" % (self.p,))
         if len(self.d) != len(self.k):
-            raise ValueError("d and k must have equal length")
+            raise InvalidInput("d and k must have equal length")
         if any(di <= 0 or di % self.p == 0 for di in self.d):
-            raise ValueError("codimensions must be positive and coprime to p")
+            raise InvalidInput("codimensions must be positive and coprime to p")
         if any(self.d[i] > self.d[i + 1] for i in range(len(self.d) - 1)):
-            raise ValueError("codimensions must be nondecreasing")
+            raise InvalidInput("codimensions must be nondecreasing")
         if any(ki < 1 for ki in self.k):
-            raise ValueError("exponents k_i must be >= 1")
+            raise InvalidInput("exponents k_i must be >= 1")
 
     @property
     def r(self) -> int:
@@ -256,22 +256,6 @@ def _le(i: int, j: int, offset: int = 1) -> ConstraintRule:
 Row = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[ConstraintRule, ...]]
 
 
-def _drop_trivial_generators(d: Sequence[int], k: Sequence[int],
-                             rules: Sequence[ConstraintRule]) -> Row:
-    """Remove generators with k_i = 0 and renumber the constraint indices."""
-    keep = [idx for idx, ki in enumerate(k) if ki > 0]
-    if len(keep) == len(k):
-        return tuple(d), tuple(k), tuple(rules)
-    remap = {old + 1: new + 1 for new, old in enumerate(keep)}
-    out_rules = []
-    for rule in rules:
-        if rule.i not in remap or rule.j not in remap:
-            raise InternalInconsistency(
-                "constraint %s touches a dropped k=0 generator" % (rule,))
-        out_rules.append(replace(rule, i=remap[rule.i], j=remap[rule.j]))
-    return (tuple(d[i] for i in keep), tuple(k[i] for i in keep), tuple(out_rules))
-
-
 def _chain_rules(gate_shift: int, first: int, r: int,
                  le_target) -> Tuple[ConstraintRule, ...]:
     """Gated chain rules shared by the orthogonal family rows.
@@ -295,33 +279,31 @@ def _so_row(n: int) -> Row:
     r = (n + 1) // 4
     d = [2 * i - 1 for i in range(1, r + 1)]
     k = [_log2_floor((n - 1) // (2 * i - 1)) for i in range(1, r + 1)]
-    return _drop_trivial_generators(d, k, _chain_rules(-1, 1, r, lambda i: 2 * i - 1))
+    return tuple(d), tuple(k), _chain_rules(-1, 1, r, lambda i: 2 * i - 1)
 
 
 def _spin_row(n: int) -> Row:
     r = (n - 3) // 4
     d = [2 * i + 1 for i in range(1, r + 1)]
     k = [_log2_floor((n - 1) // (2 * i + 1)) for i in range(1, r + 1)]
-    return _drop_trivial_generators(d, k, _chain_rules(0, 1, r, lambda i: 2 * i))
+    return tuple(d), tuple(k), _chain_rules(0, 1, r, lambda i: 2 * i)
 
 
 def _pgo_row(n: int) -> Row:
-    # PGO_{2n}; the gate C(i-2, l) only makes sense from the second
-    # generator on, and the codimension-1 generator drops out when n is odd.
-    r = (n + 2) // 2
-    d = [1] + [2 * i - 3 for i in range(2, r + 1)]
-    k = [padic_valuation(n, 2)] + \
-        [_log2_floor((2 * n - 1) // (2 * i - 3)) for i in range(2, r + 1)]
-    return _drop_trivial_generators(d, k, _chain_rules(-2, 2, r, lambda i: 2 * i - 2))
+    # PGO_{2n}: the codimension-1 generator of exponent v_2(n) in front of
+    # the SO_{2n} row, every rule index shifted past it; absent for n odd.
+    d, k, rules = _so_row(2 * n)
+    k1 = padic_valuation(n, 2)
+    if k1 == 0:
+        return d, k, rules
+    return ((1,) + d, (k1,) + k,
+            tuple(replace(rule, i=rule.i + 1, j=rule.j + 1) for rule in rules))
 
 
 def _halfspin_row(n: int) -> Row:
-    # Spin^{+/-}_{2n} with n even.
-    r = n // 2
-    d = [1] + [2 * i - 1 for i in range(2, r + 1)]
-    k = [padic_valuation(n, 2)] + \
-        [_log2_floor((2 * n - 1) // (2 * i - 1)) for i in range(2, r + 1)]
-    return _drop_trivial_generators(d, k, _chain_rules(-1, 1, r, lambda i: 2 * i - 1))
+    # Spin^{+/-}_{2n} with n even: the SO_{2n} row with k_1 = v_2(n).
+    d, k, rules = _so_row(2 * n)
+    return d, (padic_valuation(n, 2),) + k[1:], rules
 
 
 def _log2_floor(x: int) -> int:

@@ -33,8 +33,8 @@ from .errors import (
 from .integers import factorize, is_prime, prime_power
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import (Poly, cyclotomic, cyclotomic_degrees, cyclotomic_exponents,
-                         degree_ratio)
+from .polynomial import (Poly, _cancel_common, cyclotomic, cyclotomic_degrees,
+                         cyclotomic_exponents, degree_ratio)
 from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
 
 # Nothing here reads this name; perfbench/tracer.py swaps a traced proxy in at it.
@@ -170,12 +170,7 @@ def _geometric_pairing(num: Iterable[int], den: Iterable[int]) -> bool:
     >>> _geometric_pairing((6, 9), (2, 3))    # 9 over 3 and 6 over 2
     True
     """
-    tops, bottoms = list(num), []
-    for b in den:
-        if b in tops:
-            tops.remove(b)
-        else:
-            bottoms.append(b)
+    tops, bottoms = _cancel_common(num, den)
     if len(tops) != len(bottoms):
         return False
     tops.sort()
@@ -262,7 +257,7 @@ Exponents = Tuple[int, ...]
 
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
     if m < 1:
-        raise ValueError("m must be positive, got %d" % m)
+        raise InvalidInput("m must be positive, got %d" % m)
     table = {p: poly for p, poly in summands}
     primes = [p for p, _e in factorize(m)]
     missing = [p for p in primes if p not in table]

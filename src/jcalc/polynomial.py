@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .errors import NotDivisible
 from .integers import mobius
@@ -288,6 +288,22 @@ def cyclotomic_degrees(e: Iterable[int]) -> Tuple[int, Tuple[int, ...], Tuple[in
     return (-1 if e and e[0] % 2 else 1), num, den
 
 
+def _cancel_common(num: Iterable[int], den: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """num and den less the degrees they share, one copy per match; on a
+    dozen degrees list.remove is several times faster than a Counter.
+
+    >>> _cancel_common((2, 3, 6, 2), (1, 2, 6))
+    ([3, 2], [1])
+    """
+    num, rest = list(num), []
+    for b in den:
+        if b in num:
+            num.remove(b)
+        else:
+            rest.append(b)
+    return num, rest
+
+
 def degree_ratio(num: Iterable[int], den: Iterable[int]) -> Poly:
     """prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b), which must be
     a polynomial.  Common degrees cancel; the rest is a power series up to
@@ -296,11 +312,7 @@ def degree_ratio(num: Iterable[int], den: Iterable[int]) -> Poly:
     >>> degree_ratio((2, 3), (1, 1))
     Poly([1, 2, 2, 1])
     """
-    num, den = list(num), list(den)
-    for a in list(num):
-        if a in den:
-            num.remove(a)
-            den.remove(a)
+    num, den = _cancel_common(num, den)
     f = [1] + [0] * (sum(num) - sum(den))
     for a in num:
         f[a:] = map(sub, f[a:], f)          # times 1 - t^a

@@ -51,18 +51,6 @@ def lucas_binom(n: int, m: int, p: int) -> int:
     return result % p
 
 
-def multi_binom(bigger: Sequence[int], smaller: Sequence[int], p: int) -> int:
-    """Product of componentwise binomials C(bigger_i, smaller_i) mod p."""
-    if len(bigger) != len(smaller):
-        raise LengthMismatch("tuples of lengths %d and %d" % (len(bigger), len(smaller)))
-    result = 1
-    for n, m in zip(bigger, smaller):
-        result = result * lucas_binom(n, m, p) % p
-        if result == 0:
-            return 0
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders
 # ---------------------------------------------------------------------------
@@ -82,12 +70,6 @@ def deglex_key(monomial: Monomial, data: TorsionData) -> Tuple[int, Tuple[int, .
     comparison of the reversed exponent tuples.
     """
     return (codim(monomial, data), tuple(reversed(monomial)))
-
-
-def deglex_compare(a: Monomial, b: Monomial, data: TorsionData) -> int:
-    """-1, 0 or 1 as a is below, equal to or above b in DegLex."""
-    ka, kb = deglex_key(a, data), deglex_key(b, data)
-    return (ka > kb) - (ka < kb)
 
 
 def precedes(a: Monomial, b: Monomial) -> bool:
@@ -368,31 +350,19 @@ def subring_closure(gens: Sequence[RingElement],
                   reverse=True)
 
 
-def _unit_power_monomial(data: TorsionData, i: int, e: int) -> Monomial:
-    return tuple(e if j == i - 1 else 0 for j in range(data.r))
-
-
-def j_from_subring(basis: Sequence[RingElement], data: TorsionData) -> Tuple[int, ...]:
-    """Read the J-invariant off a subring basis.
+def j_from_generators(gens: Sequence[RingElement], data: TorsionData) -> Tuple[int, ...]:
+    """The J-invariant of the subring the generators span with 1.
 
     j_i is the least j such that some subring element has DegLex leading
-    monomial exactly x_i^{p^j}.  Because the basis is row-reduced, the
-    leading monomials of subring elements are exactly the pivots.  When
-    no j < k_i works the answer is k_i: the vanishing power
-    x_i^{p^{k_i}} = 0 lies in every subring.
+    monomial exactly x_i^{p^j}.  Because the closure basis is
+    row-reduced, the leading monomials of subring elements are exactly
+    its pivots.  When no j < k_i works the answer is k_i: the vanishing
+    power x_i^{p^{k_i}} = 0 lies in every subring.
     """
-    leads = {e.leading_monomial() for e in basis}
-    out = []
-    for i in range(1, data.r + 1):
-        for j in range(data.k[i - 1]):
-            if _unit_power_monomial(data, i, data.p ** j) in leads:
-                out.append(j)
-                break
-        else:
-            out.append(data.k[i - 1])
-    return tuple(out)
+    leads = {e.leading_monomial() for e in subring_closure(list(gens), data)}
 
+    def power(i: int, j: int) -> Monomial:        # x_{i+1}^{p^j}
+        return tuple(data.p ** j if m == i else 0 for m in range(data.r))
 
-def j_from_generators(gens: Sequence[RingElement], data: TorsionData) -> Tuple[int, ...]:
-    """Convenience composition of subring_closure and j_from_subring."""
-    return j_from_subring(subring_closure(list(gens), data), data)
+    return tuple(next((j for j in range(ki) if power(i, j) in leads), ki)
+                 for i, ki in enumerate(data.k))

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import jcalc
 from jcalc.cli import build_parser, execute
 from jcalc.jinvariant import enumerate_admissible
@@ -290,6 +292,27 @@ class TestOutputModes:
         status, out, _err = run(capsys, "table", "dump", "--p", "5", "--json")
         assert status == 0
         json.loads(out)  # would fail if more than one document were emitted
+
+
+BAD_ARGV = [
+    ["motive", "rost-poincare", "--p", "2", "--d", "3,5", "--k", "1", "--j", "1"],
+    ["ring", "j-from-gens", "--p", "2", "--d", "2", "--k", "1", "x1"],
+    ["lift", "idempotent", "--matrix", "1,1,1,1", "--modulus", "4"],
+    ["lift", "crt", "--m", "12", "--matrix", "1,2;3"],
+    ["motive", "integral", "--total", "1,1", "--m", "0", "--summand", "2:1"],
+    ["motive", "candim", "--p", "2", "--d", "x", "--k", "1", "--j", "1"],
+    ["flag", "poincare", "--type", "F4", "--theta", "a"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_input_exits_without_a_traceback(capsys, argv):
+    for mode in ([], ["--json"]):
+        status, out, err = run(capsys, *argv, *mode)
+        assert status in (1, 2), mode
+        assert "Traceback" not in err
+        if mode:
+            assert out == ""
 
 
 def test_parser_builds():

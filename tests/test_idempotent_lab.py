@@ -11,12 +11,10 @@ from jcalc.errors import (
     ParseError,
 )
 from jcalc.idempotent_lab import (
-    GradedEndo,
     ModMatrix,
     crt_split,
     lift_idempotent,
     lift_isomorphism,
-    lift_isomorphism_graded,
     lift_orthogonal_family,
     mod_inverse,
     random_idempotent_family,
@@ -208,24 +206,6 @@ class TestLiftIsomorphism:
         not_idem = ModMatrix(4, ((1, 1), (1, 1)))
         with pytest.raises(HypothesisViolated):
             lift_isomorphism(not_idem, phi, phi, phi)
-
-    def test_graded_components(self):
-        # two slots of degree 0 and 1; a degree-1 map exchanges them
-        phi1 = GradedEndo(ModMatrix(4, ((1, 0), (0, 0))), (0, 1))
-        phi2 = GradedEndo(ModMatrix(4, ((0, 0), (0, 1))), (0, 1))
-        psi12 = GradedEndo(ModMatrix(4, ((0, 0), (3, 0))), (0, 1))
-        psi21 = GradedEndo(ModMatrix(4, ((0, 3), (0, 0))), (0, 1))
-        assert psi12.matrix.entries[1][0] != 0
-        assert psi12.is_homogeneous(-1)
-        t12, t21 = lift_isomorphism_graded(phi1, phi2, psi12, psi21, degree=-1)
-        assert t21.matrix * t12.matrix == phi1.matrix
-        assert t12.matrix * t21.matrix == phi2.matrix
-        assert t12.is_homogeneous(-1) and t21.is_homogeneous(1)
-
-    def test_graded_support(self):
-        g = GradedEndo(ModMatrix(4, ((1, 2), (0, 3))), (0, 2))
-        assert g.support_degrees == [0, 2]
-        assert g.component(2).matrix.entries == ((0, 2), (0, 0))
 
 
 class TestCrt:

@@ -1,12 +1,16 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcalc.errors import InvalidInput, UnsupportedForm
+from jcalc.errors import InternalInconsistency, InvalidInput, UnsupportedForm
+from jcalc.integers import padic_valuation
 from jcalc.kac_table import (
     _FORM_SUFFIXES,
+    _chain_rules,
+    _log2_floor,
     GroupForm,
     TorsionData,
     constraint_rules,
@@ -196,6 +200,13 @@ def test_torsion_data_rejects_bad_inputs():
         TorsionData(2, (3,), (0,))  # trivial generator
 
 
+@pytest.mark.parametrize("d,k", [((3, 5), (1,)), ((2,), (1,)), ((0,), (1,)),
+                                 ((5, 3), (1, 1)), ((3,), (0,))])
+def test_torsion_data_checks_raise_invalid_input(d, k):
+    with pytest.raises(InvalidInput):
+        TorsionData(2, d, k)
+
+
 @pytest.mark.parametrize("lookup", [torsion_data, constraint_rules])
 @pytest.mark.parametrize("p", [1, 4, 0, -2])
 def test_every_lookup_rejects_a_non_prime(lookup, p):
@@ -303,3 +314,61 @@ def test_parse_form_matches_old_parser_on_short_token_strings():
 @given(st.lists(st.sampled_from(FORM_TOKENS + DIGIT_TOKENS + DIGIT_TOKENS), max_size=7))
 def test_parse_form_matches_old_parser_on_token_strings(word):
     assert _same_outcome("".join(word))
+
+
+# The PGO_2n and half-spin rows as they were written before both were
+# built from the SO_2n row: their own closed formulas, with generators of
+# exponent 0 dropped and the rule indices renumbered.
+
+def _drop_trivial_generators(d, k, rules):
+    keep = [idx for idx, ki in enumerate(k) if ki > 0]
+    if len(keep) == len(k):
+        return tuple(d), tuple(k), tuple(rules)
+    remap = {old + 1: new + 1 for new, old in enumerate(keep)}
+    out_rules = []
+    for rule in rules:
+        if rule.i not in remap or rule.j not in remap:
+            raise InternalInconsistency(
+                "constraint %s touches a dropped k=0 generator" % (rule,))
+        out_rules.append(replace(rule, i=remap[rule.i], j=remap[rule.j]))
+    return (tuple(d[i] for i in keep), tuple(k[i] for i in keep), tuple(out_rules))
+
+
+def old_pgo_row(n):
+    r = (n + 2) // 2
+    d = [1] + [2 * i - 3 for i in range(2, r + 1)]
+    k = [padic_valuation(n, 2)] + \
+        [_log2_floor((2 * n - 1) // (2 * i - 3)) for i in range(2, r + 1)]
+    return _drop_trivial_generators(d, k, _chain_rules(-2, 2, r, lambda i: 2 * i - 2))
+
+
+def old_halfspin_row(n):
+    r = n // 2
+    d = [1] + [2 * i - 1 for i in range(2, r + 1)]
+    k = [padic_valuation(n, 2)] + \
+        [_log2_floor((2 * n - 1) // (2 * i - 1)) for i in range(2, r + 1)]
+    return _drop_trivial_generators(d, k, _chain_rules(-1, 1, r, lambda i: 2 * i - 1))
+
+
+def _row_of(form):
+    data = torsion_data(form, 2)
+    return data.d, data.k, constraint_rules(form, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_pgo_row_matches_its_own_formula(n):
+    assert _row_of(GroupForm(DynkinType("D", n), "pgo")) == old_pgo_row(n)
+
+
+@pytest.mark.parametrize("n", range(4, 65, 2))
+def test_halfspin_row_matches_its_own_formula(n):
+    assert _row_of(GroupForm(DynkinType("D", n), "halfspin")) == old_halfspin_row(n)
+
+
+def test_dump_matches_the_old_formulas():
+    old = {"pgo": old_pgo_row, "halfspin": old_halfspin_row}
+    for (form, p), row in zip(table_rows(12), expand_table(12)):
+        if form.isogeny in old:
+            d, k, rules = old[form.isogeny](form.base.rank)
+            assert (row["d"], row["k"]) == (list(d), list(k))
+            assert row["rules"] == [rule.as_dict() for rule in rules]

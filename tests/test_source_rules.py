@@ -10,6 +10,7 @@ imports the CLI must not load sympy, and `jcalc.motive` keeps the name
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -77,3 +78,25 @@ def test_motive_keeps_the_name_the_bench_tracer_replaces():
     # perfbench/tracer.py reads motive.__dict__["sympy"] before it swaps a
     # traced proxy in; without the name every traced run raises KeyError
     assert "sympy" in vars(jcalc.motive)
+
+
+# Every name the benchmark under perfbench/ reads off the top-level package.
+PERFBENCH_NAMES = [
+    "ModMatrix", "Poly", "RingElement", "TorsionData", "consistent_split_thetas",
+    "crt_split", "enumerate_admissible", "integral_decomposition",
+    "is_sum_indecomposable", "j_from_generators", "lift_idempotent", "lift_isomorphism",
+    "lift_orthogonal_family", "parse_form", "poincare_complete_flag",
+    "poincare_weyl_subgroup", "run_divisibility_sweep", "sl_lift", "table_rows",
+    "torsion_data",
+]
+
+
+def test_the_package_keeps_what_the_benchmark_reads():
+    bench = pathlib.Path(jcalc.__file__).parents[2] / "perfbench"
+    if bench.is_dir():
+        read = {name for path in bench.glob("*.py")
+                for name in re.findall(r"\bjc\.([A-Za-z_]\w*)", path.read_text())}
+        assert read <= set(PERFBENCH_NAMES)
+    assert [name for name in PERFBENCH_NAMES if not hasattr(jcalc, name)] == []
+    assert callable(jcalc.Poly.exact_div)
+    assert callable(jcalc.CrtSplitting.split) and callable(jcalc.CrtSplitting.combine)
