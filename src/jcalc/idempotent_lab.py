@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -53,8 +54,9 @@ class ModMatrix:
     entries: IntMatrix
 
     def __post_init__(self):
-        _require_modulus(self.modulus)
-        rows = tuple(tuple(int(x) % self.modulus for x in row) for row in self.entries)
+        m = self.modulus
+        _require_modulus(m)
+        rows = tuple([tuple([int(x) % m for x in row]) for row in self.entries])
         size = len(rows)
         if any(len(row) != size for row in rows):
             raise InvalidInput("matrix must be square")
@@ -84,7 +86,8 @@ class ModMatrix:
 
     def _check(self, other: "ModMatrix") -> None:
         if self.modulus != other.modulus or self.size != other.size:
-            raise ValueError("matrix shape or modulus mismatch")
+            raise InvalidInput("matrix shape or modulus mismatch: size %d mod %d against size "
+                               "%d mod %d" % (self.size, self.modulus, other.size, other.modulus))
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
         self._check(other)
@@ -99,14 +102,26 @@ class ModMatrix:
         return ModMatrix(self.modulus, tuple(tuple(-a for a in row) for row in self.entries))
 
     def __mul__(self, other):
+        """Scalar multiple for an int, else the matrix product mod m.
+
+        Row k of ``other`` is packed into one int, b_kj in the w-bit field
+        at bit w*j, so row i of the product is sum_k a_ik * packed_k:
+        ``size`` big-int multiply-adds instead of ``size**2`` dot products.
+        Entries lie in 0..m-1, so field j ends as sum_k a_ik b_kj <=
+        size*(m-1)**2 < 2**w for w = (size*(m-1)**2).bit_length() and never
+        carries; it is read back by shift and mask and reduced mod m.
+        """
         if isinstance(other, int):
             return ModMatrix(self.modulus,
                              tuple(tuple(other * a for a in row) for row in self.entries))
         self._check(other)
-        cols = list(zip(*other.entries))
-        return ModMatrix(self.modulus, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
+        w = (self.size * (self.modulus - 1) ** 2).bit_length()
+        shifts = [w * j for j in range(self.size)]
+        packed = [sum([b << s for b, s in zip(row, shifts)]) for row in other.entries]
+        mask = (1 << w) - 1
+        return ModMatrix(self.modulus, [[(v >> s) & mask for s in shifts]
+                                        for v in [sum(map(mul, row, packed))
+                                                  for row in self.entries]])
 
     __rmul__ = __mul__
 
@@ -326,24 +341,19 @@ class CrtSplitting:
 
     def split(self, matrix: ModMatrix) -> Tuple[ModMatrix, ...]:
         if matrix.modulus != self.modulus:
-            raise ValueError("matrix modulus %d is not %d" % (matrix.modulus, self.modulus))
+            raise InvalidInput("matrix modulus %d is not %d" % (matrix.modulus, self.modulus))
         return tuple(matrix.reduce(q) for q in self.prime_power_moduli)
 
     def combine(self, parts: Sequence[ModMatrix]) -> ModMatrix:
         moduli = self.prime_power_moduli
         if len(parts) != len(moduli) or any(
                 part.modulus != q for part, q in zip(parts, moduli)):
-            raise ValueError("parts do not match the prime-power moduli %s" % (moduli,))
+            raise InvalidInput("parts do not match the prime-power moduli %s" % (moduli,))
         size = parts[0].size
         if any(part.size != size for part in parts):
-            raise ValueError("parts have mismatched sizes")
-        entries = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                row.append(_crt([part.entries[i][j] for part in parts], moduli))
-            entries.append(tuple(row))
-        return ModMatrix(self.modulus, tuple(entries))
+            raise InvalidInput("parts have mismatched sizes")
+        return ModMatrix(self.modulus, [[_crt(cell, moduli) for cell in zip(*rows)]
+                                        for rows in zip(*(part.entries for part in parts))])
 
 
 def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:

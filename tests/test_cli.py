@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jcalc
 from jcalc.cli import build_parser, execute
@@ -302,6 +305,9 @@ BAD_ARGV = [
     ["motive", "integral", "--total", "1,1", "--m", "0", "--summand", "2:1"],
     ["motive", "candim", "--p", "2", "--d", "x", "--k", "1", "--j", "1"],
     ["flag", "poincare", "--type", "F4", "--theta", "a"],
+    ["lift", "izvrat", "--modulus", "4", "--phi1", "1,0;0,1", "--phi2", "1", "--psi12", "1",
+     "--psi21", "1"],
+    ["lift", "crt", "--m", "8", "--matrix", "mod 4 size 2\n1,0;0,1"],
 ]
 
 
@@ -313,6 +319,81 @@ def test_bad_input_exits_without_a_traceback(capsys, argv):
         assert "Traceback" not in err
         if mode:
             assert out == ""
+
+
+# Argv for the five lift verbs, valid or not: square matrices of size at
+# most 3, bare or headered, sometimes ragged, under a wrong header size or
+# not numbers at all; moduli that are prime powers, composite, below 2 or
+# not numbers; demo sizes up to 4.
+@st.composite
+def matrix_text(draw):
+    size = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-9, 40), min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if draw(st.integers(0, 7)) == 0:
+        rows[-1] = rows[-1][:-1]
+    body = ";".join(",".join(map(str, row)) for row in rows)
+    kind = draw(st.sampled_from(["bare", "bare", "bare", "header", "header", "junk"]))
+    if kind == "header":
+        return "mod %d size %d\n%s" % (draw(st.sampled_from([2, 4, 6, 8, 9])),
+                                       size + draw(st.sampled_from([0, 0, 0, 1])), body)
+    if kind == "junk":
+        return draw(st.sampled_from(["", ";", "x", "1,,2", "mod", "mod 4 size\n1"]))
+    return body
+
+
+MATRIX_TEXT = matrix_text()
+MODULUS = st.sampled_from(["-4", "0", "1", "2", "3", "4", "5", "6", "8", "9", "12", "25", "27",
+                           "30", "60", "x", "", "2.5"])
+SIZE = st.integers(-1, 4).map(str)
+LIFT_OPTIONS = {
+    "idempotent": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
+    "family": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
+    "izvrat": {"--modulus": MODULUS, "--phi1": MATRIX_TEXT, "--phi2": MATRIX_TEXT,
+               "--psi12": MATRIX_TEXT, "--psi21": MATRIX_TEXT, "--demo": st.none(),
+               "--seed": st.integers(0, 50).map(str), "--size": SIZE},
+    "sl": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS, "--demo": st.none(),
+           "--seed": st.integers(0, 50).map(str), "--size": SIZE},
+    "crt": {"--m": MODULUS, "--matrix": MATRIX_TEXT},
+}
+
+
+@st.composite
+def lift_argv(draw):
+    """Each option of the verb is given with odds 3:1 (``--demo`` 1:3, and
+    ``--matrix`` of ``family`` up to three times), so that required
+    options and the four isomorphism matrices often come together."""
+    verb = draw(st.sampled_from(sorted(LIFT_OPTIONS)))
+    argv = ["lift", verb]
+    for flag, values in sorted(LIFT_OPTIONS[verb].items()):
+        if flag == "--demo":
+            times = int(draw(st.integers(0, 3)) == 0)
+        elif (verb, flag) == ("family", "--matrix"):
+            times = draw(st.integers(0, 3))
+        else:
+            times = min(draw(st.integers(0, 3)), 1)
+        for _ in range(times):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lift_argv())
+def test_lift_argv_fuzz_keeps_the_cli_contract(argv):
+    """Exit 0, 1 or 2, nothing raised out of execute (a traceback in a
+    process), and under --json one JSON document on success and no
+    stdout on failure."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = execute(argv)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv:
+        if status == 0:
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
 
 
 def test_parser_builds():

@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jcalc.errors import (
     DeterminantNotOne,
     HypothesisViolated,
+    InvalidInput,
     NotAFamily,
     NotAlmostIdempotent,
     ParseError,
@@ -64,10 +66,72 @@ def old_mod_inverse(matrix):
                               for part in splitting.split(matrix)])
 
 
+def triple_loop_product(a, b):
+    """The product as one dot product per entry, as ModMatrix.__mul__
+    computed it before rows were packed into ints."""
+    cols = list(zip(*b.entries))
+    return ModMatrix(a.modulus, tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+        for row in a.entries))
+
+
+PRODUCT_MODULI = [2, 6, 125, 2 ** 64 + 13, 10 ** 30]
+
+
+@st.composite
+def square_matrices(draw, modulus, size):
+    """Random canonical entries; one time in three an idempotent
+    [[I_r, X], [0, 0]] with random X, its rows and columns permuted
+    alike, so that is_idempotent is asked both ways."""
+    entry = st.integers(0, modulus - 1)
+    if draw(st.integers(0, 2)) or size == 0:
+        return ModMatrix(modulus, draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                                                min_size=size, max_size=size)))
+    rank = draw(st.integers(0, size))
+    rows = [[int(i == j) if j < rank else draw(entry) for j in range(size)]
+            if i < rank else [0] * size for i in range(size)]
+    perm = draw(st.permutations(range(size)))
+    return ModMatrix(modulus, [[rows[perm[i]][perm[j]] for j in range(size)]
+                               for i in range(size)])
+
+
+@st.composite
+def matrix_pairs(draw):
+    modulus = draw(st.sampled_from(PRODUCT_MODULI))
+    size = draw(st.integers(0, 10))
+    return draw(square_matrices(modulus, size)), draw(square_matrices(modulus, size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_packed_product_matches_the_triple_loop(pair):
+    a, b = pair
+    assert a * b == triple_loop_product(a, b)
+    assert b * a == triple_loop_product(b, a)
+    for x in pair:
+        assert x.is_idempotent == (triple_loop_product(x, x) == x)
+
+
+def test_product_fields_at_their_largest():
+    # every entry m - 1, so every field of the packed sum reaches size*(m-1)**2
+    for modulus in PRODUCT_MODULI:
+        for size in range(11):
+            top = ModMatrix(modulus, [[modulus - 1] * size] * size)
+            assert top * top == triple_loop_product(top, top)
+            assert (top * top).entries == ((size % modulus,) * size,) * size
+
+
 class TestModMatrix:
     def test_canonical_entries(self):
         m = ModMatrix(4, ((5, -1), (8, 3)))
         assert m.entries == ((1, 3), (0, 3))
+
+    def test_mismatched_operands_are_invalid_input(self):
+        a = ModMatrix.identity(4, 2)
+        for other in (ModMatrix.identity(4, 1), ModMatrix.identity(8, 2)):
+            for op in (a.__mul__, a.__add__):
+                with pytest.raises(InvalidInput, match="mismatch: size 2 mod 4 against"):
+                    op(other)
 
     def test_det(self):
         assert ModMatrix(6, ((2, 1), (3, 2))).det() == 1
@@ -218,6 +282,15 @@ class TestCrt:
         parts = s.split(ModMatrix(6, ((5, 0), (0, 1))))
         assert parts[0] == ModMatrix(2, ((1, 0), (0, 1)))
         assert parts[1] == ModMatrix(3, ((2, 0), (0, 1)))
+
+    def test_mismatched_moduli_and_parts_are_invalid_input(self):
+        s = crt_split(12)
+        with pytest.raises(InvalidInput, match="matrix modulus 4 is not 12"):
+            s.split(ModMatrix.identity(4, 2))
+        with pytest.raises(InvalidInput, match="prime-power moduli"):
+            s.combine([ModMatrix.identity(4, 2)])
+        with pytest.raises(InvalidInput, match="mismatched sizes"):
+            s.combine([ModMatrix.identity(4, 2), ModMatrix.identity(3, 1)])
 
     def test_round_trip_random(self):
         rng = random.Random(3)
