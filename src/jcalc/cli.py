@@ -3,8 +3,10 @@
 One verb per calculator: ``table dump``, ``jinv enumerate|check``,
 ``ring j-from-gens``, ``motive rost-poincare|decompose|candim|
 torsion-bound|integral``, ``flag poincare`` and ``lift idempotent|
-family|izvrat|sl``.  Every verb prints human-readable text by default
-and exactly one JSON document with ``--json`` after the verb.
+family|izvrat|sl|crt``.  Every verb prints human-readable text by default
+and exactly one JSON document with ``--json`` after the verb.  Each
+handler imports its calculator module itself, so a verb loads only the
+modules it runs.
 
 Exit status: 0 success, 1 domain error, 2 usage error.
 """
@@ -17,31 +19,7 @@ import random
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__
 from .errors import JCalcError, ParseError
-from .idempotent_lab import (
-    ModMatrix,
-    crt_split,
-    lift_idempotent,
-    lift_isomorphism,
-    lift_orthogonal_family,
-    random_isomorphism_instance,
-    random_unimodular,
-    sl_lift,
-)
-from .integers import is_prime
-from .jinvariant import JInvariant, enumerate_admissible, is_admissible
-from .kac_table import TorsionData, constraint_rules, expand_table, parse_form, table_rows
-from .motive import (
-    canonical_p_dimension,
-    decompose,
-    integral_decomposition,
-    rost_poincare,
-    torsion_index_bound,
-)
-from .polynomial import Poly
-from .root_data import DynkinType, poincare_homogeneous
-from .truncated_ring import RingElement, j_from_generators
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +36,12 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
 
 
-def _poly(text: str) -> Poly:
+def _poly(text: str):
+    from .polynomial import Poly
     return Poly(_int_list(text))
 
 
-def _summand(text: str) -> Tuple[int, Poly]:
+def _summand(text: str):
     try:
         head, tail = text.split(":", 1)
         return int(head), _poly(tail)
@@ -70,11 +49,13 @@ def _summand(text: str) -> Tuple[int, Poly]:
         raise argparse.ArgumentTypeError("expected p:c0,c1,...") from exc
 
 
-def _context(args) -> TorsionData:
+def _context(args):
+    from .kac_table import TorsionData
     return TorsionData(args.p, args.d, args.k)
 
 
-def _matrix_from_args(args) -> ModMatrix:
+def _matrix_from_args(args):
+    from .idempotent_lab import ModMatrix
     if args.infile == "-":
         return ModMatrix.parse(sys.stdin.read())
     if args.infile:
@@ -100,6 +81,7 @@ def _pfister(value: Optional[str]) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def _cmd_table_dump(args) -> Tuple[object, List[str]]:
+    from .kac_table import constraint_rules, expand_table, parse_form, table_rows
     name = parse_form(args.form).name if args.form else None
     rows, lines = [], []
     # expand_table walks table_rows in the same order, one dict per row
@@ -114,6 +96,8 @@ def _cmd_table_dump(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
+    from .jinvariant import enumerate_admissible
+    from .kac_table import parse_form
     form = parse_form(args.form)
     values = enumerate_admissible(form, args.p)
     payload = {"form": form.name, "p": args.p,
@@ -122,6 +106,8 @@ def _cmd_jinv_enumerate(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_jinv_check(args) -> Tuple[object, List[str]]:
+    from .jinvariant import is_admissible
+    from .kac_table import parse_form
     form, j = parse_form(args.form), args.j
     try:
         ok = is_admissible(j, form, args.p)
@@ -132,6 +118,8 @@ def _cmd_jinv_check(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_ring_j_from_gens(args) -> Tuple[object, List[str]]:
+    from .jinvariant import JInvariant
+    from .truncated_ring import RingElement, j_from_generators
     data = _context(args)
     gens = [RingElement.parse(data, text) for text in args.gens]
     j = j_from_generators(gens, data)
@@ -140,12 +128,15 @@ def _cmd_ring_j_from_gens(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_motive_rost(args) -> Tuple[object, List[str]]:
+    from .motive import rost_poincare
     data = _context(args)
     poly = rost_poincare(data, args.j)
     return {"poincare": list(poly.coeffs)}, [str(poly)]
 
 
 def _cmd_motive_decompose(args) -> Tuple[object, List[str]]:
+    from .kac_table import parse_form
+    from .motive import decompose
     form = parse_form(args.form)
     dec = decompose(form, args.p, args.j, theta=args.theta,
                     tits_index=args.tits_index,
@@ -160,12 +151,16 @@ def _cmd_motive_decompose(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_motive_candim(args) -> Tuple[object, List[str]]:
+    from .motive import canonical_p_dimension
     data = _context(args)
     value = canonical_p_dimension(data, args.j)
     return {"candim": value}, [str(value)]
 
 
 def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
+    from .integers import is_prime
+    from .jinvariant import JInvariant
+    from .motive import torsion_index_bound
     if args.d or args.k:
         # validate against a full context when one is supplied
         bound = torsion_index_bound(JInvariant(_context(args), args.j))
@@ -178,6 +173,7 @@ def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_motive_integral(args) -> Tuple[object, List[str]]:
+    from .motive import integral_decomposition
     if args.all:
         results = integral_decomposition(args.total, args.m, args.summand,
                                          all_candidates=True)
@@ -192,18 +188,21 @@ def _cmd_motive_integral(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_flag_poincare(args) -> Tuple[object, List[str]]:
+    from .root_data import DynkinType, poincare_homogeneous
     t = DynkinType.parse(args.type)
     poly = poincare_homogeneous(t, args.theta)
     return {"poincare": list(poly.coeffs)}, [str(poly)]
 
 
 def _cmd_lift_idempotent(args) -> Tuple[object, List[str]]:
+    from .idempotent_lab import lift_idempotent
     a = _matrix_from_args(args)
     e = lift_idempotent(a)
     return {"modulus": e.modulus, "entries": [list(r) for r in e.entries]}, [e.to_text()]
 
 
 def _cmd_lift_family(args) -> Tuple[object, List[str]]:
+    from .idempotent_lab import ModMatrix, lift_orthogonal_family
     mats = [ModMatrix.parse(text, modulus=args.modulus) for text in args.matrix]
     lifted = lift_orthogonal_family(mats)
     payload = [{"modulus": e.modulus, "entries": [list(r) for r in e.entries]}
@@ -212,6 +211,7 @@ def _cmd_lift_family(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_lift_izvrat(args) -> Tuple[object, List[str]]:
+    from .idempotent_lab import ModMatrix, lift_isomorphism, random_isomorphism_instance
     if args.demo:
         rng = random.Random(args.seed)
         phi1, phi2, psi12, psi21 = random_isomorphism_instance(rng, args.modulus, args.size)
@@ -235,6 +235,7 @@ def _cmd_lift_izvrat(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_lift_sl(args) -> Tuple[object, List[str]]:
+    from .idempotent_lab import random_unimodular, sl_lift
     if args.demo:
         matrix = random_unimodular(random.Random(args.seed), args.modulus, args.size)
     else:
@@ -249,6 +250,7 @@ def _cmd_lift_sl(args) -> Tuple[object, List[str]]:
 
 
 def _cmd_lift_crt(args) -> Tuple[object, List[str]]:
+    from .idempotent_lab import ModMatrix, crt_split
     splitting = crt_split(args.m)
     payload = {"m": args.m,
                "factors": [[p, e] for p, e in splitting.factors]}
@@ -269,6 +271,7 @@ def _cmd_lift_crt(args) -> Tuple[object, List[str]]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import __version__
     parser = argparse.ArgumentParser(
         prog="jcalc",
         description="Exact J-invariant and motivic decomposition calculators.")

@@ -2,28 +2,41 @@
 
 Trial-division factorization, primality, prime-power detection, the
 Mobius function, p-adic valuation and the fraction-free (Bareiss) determinant over Z.  Inputs
-are desk-scale, so trial division is enough; nothing here imports a
-dependency or does work at import time.
+are desk-scale, so trial division, under a budget, is enough; nothing
+here imports a dependency or does work at import time.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import SearchBudgetExceeded
+
+
+# Largest trial divisor factorize tries: it refuses an n whose part left
+# after dividing out the primes up to this bound is >= (_TRIAL_BUDGET + 1)^2.
+_TRIAL_BUDGET = 10 ** 6
+
 
 def factorize(n: int) -> List[Tuple[int, int]]:
-    """Prime factorization [(p, e), ...] with p increasing; [] for n < 2."""
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
+    """Prime factorization [(p, e), ...] with p increasing; [] for n < 2.
+
+    Raises SearchBudgetExceeded, naming n, when trial division would
+    need a divisor above _TRIAL_BUDGET."""
+    out, f, rest = [], 2, n
+    while f * f <= rest and f <= _TRIAL_BUDGET:
+        if rest % f == 0:
             e = 0
-            while n % f == 0:
-                n //= f
+            while rest % f == 0:
+                rest //= f
                 e += 1
             out.append((f, e))
         f += 1
-    if n > 1:
-        out.append((n, 1))
+    if f * f <= rest:
+        raise SearchBudgetExceeded("factoring %d needs trial divisors above the budget %d"
+                                   % (n, _TRIAL_BUDGET))
+    if rest > 1:
+        out.append((rest, 1))
     return out
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -155,6 +156,16 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_modulus_past_the_trial_budget_is_exit_1_in_a_process(self):
+        # 2^64 + 13 has no prime factor up to the trial-division budget
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jcalc.cli", "lift", "crt", "--m", str(2 ** 64 + 13),
+             "--json"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error:") and "budget" in proc.stderr
 
     def test_help_everywhere(self, capsys):
         verbs = [
@@ -321,10 +332,12 @@ def test_bad_input_exits_without_a_traceback(capsys, argv):
             assert out == ""
 
 
-# Argv for the five lift verbs, valid or not: square matrices of size at
-# most 3, bare or headered, sometimes ragged, under a wrong header size or
-# not numbers at all; moduli that are prime powers, composite, below 2 or
-# not numbers; demo sizes up to 4.
+# Argv for every verb, valid or not.  Lift verbs get square matrices of
+# size at most 3, bare or headered, sometimes ragged, under a wrong header
+# size or not numbers at all; moduli that are prime powers, composite,
+# below 2 or not numbers; demo sizes up to 4.  The other verbs get forms,
+# Dynkin types, primes, comma lists and ring elements of the same mix,
+# kept small enough that each call is quick.
 @st.composite
 def matrix_text(draw):
     size = draw(st.integers(1, 3))
@@ -342,51 +355,116 @@ def matrix_text(draw):
     return body
 
 
+# False seven times in eight; hypothesis shrinks towards False
+ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def int_list(draw, lo, hi, max_size=3):
+    """A comma list of small integers, one time in eight not one at all."""
+    if draw(ONE_IN_EIGHT):
+        return draw(st.sampled_from(["x", "1,,2", "1.5", ","]))
+    return ",".join(map(str, draw(st.lists(st.integers(lo, hi), max_size=max_size))))
+
+
 MATRIX_TEXT = matrix_text()
 MODULUS = st.sampled_from(["-4", "0", "1", "2", "3", "4", "5", "6", "8", "9", "12", "25", "27",
                            "30", "60", "x", "", "2.5"])
 SIZE = st.integers(-1, 4).map(str)
-LIFT_OPTIONS = {
-    "idempotent": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
-    "family": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
-    "izvrat": {"--modulus": MODULUS, "--phi1": MATRIX_TEXT, "--phi2": MATRIX_TEXT,
-               "--psi12": MATRIX_TEXT, "--psi21": MATRIX_TEXT, "--demo": st.none(),
-               "--seed": st.integers(0, 50).map(str), "--size": SIZE},
-    "sl": {"--matrix": MATRIX_TEXT, "--modulus": MODULUS, "--demo": st.none(),
-           "--seed": st.integers(0, 50).map(str), "--size": SIZE},
-    "crt": {"--m": MODULUS, "--matrix": MATRIX_TEXT},
+SEED = st.integers(0, 50).map(str)
+PRIME = st.sampled_from(["-2", "0", "1", "2", "2", "3", "3", "4", "5", "7", "x"])
+FORM = st.sampled_from(["G2", "F4", "E6sc", "E6ad", "E7sc", "E7ad", "E8", "SO7", "Spin11",
+                        "SL6", "PGL4", "Sp6", "PGSp8", "PGO8", "D6halfspin", "A3mu2",
+                        "SL10mu", "A9mux", "E9", "B1", "Q3", "x", ""])
+DYNKIN = st.sampled_from(["G2", "F4", "E6", "E7", "E8", "A3", "B4", "C3", "D5", "D2",
+                          "A0", "E9", "Q3", ""])
+THETA = int_list(-1, 9)
+J = int_list(-1, 3, max_size=4)
+POLY = int_list(-2, 3, max_size=8)
+GENS = st.lists(st.sampled_from(["x1", "x2", "x1^2", "1 + x1*x2", "2*x1^3", "x1 + x2^2",
+                                 "0", "x0", "x3", "y1", "x1^", "", "3*2*x1"]), max_size=3)
+CONTEXT = {"--p": PRIME, "--d": int_list(-1, 6, max_size=2), "--k": int_list(-1, 2, max_size=2)}
+VERB_OPTIONS = {
+    ("table", "dump"): {"--form": FORM, "--p": PRIME, "--max-rank": st.integers(-1, 6).map(str)},
+    ("jinv", "enumerate"): {"--form": FORM, "--p": PRIME},
+    ("jinv", "check"): {"--form": FORM, "--p": PRIME, "--j": J},
+    ("ring", "j-from-gens"): dict(CONTEXT, gens=GENS),
+    ("motive", "rost-poincare"): dict(CONTEXT, **{"--j": J}),
+    ("motive", "decompose"): {
+        "--form": FORM, "--p": PRIME, "--j": J, "--theta": THETA,
+        "--tits-index": st.integers(-1, 4).map(str),
+        "--splitting-degree": st.sampled_from(["0", "1", "2", "4", "8"]),
+        "--pfister": st.sampled_from(["yes", "no"])},
+    ("motive", "candim"): dict(CONTEXT, **{"--j": J}),
+    ("motive", "torsion-bound"): dict(CONTEXT, **{"--j": J}),
+    ("motive", "integral"): {
+        "--total": POLY, "--m": st.sampled_from(["-6", "0", "1", "2", "3", "6", "12", "x"]),
+        "--summand": st.tuples(st.sampled_from(["2", "3", "5", "x"]), POLY).map(":".join),
+        "--all": st.none()},
+    ("flag", "poincare"): {"--type": DYNKIN, "--theta": THETA},
+    ("lift", "idempotent"): {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
+    ("lift", "family"): {"--matrix": MATRIX_TEXT, "--modulus": MODULUS},
+    ("lift", "izvrat"): {"--modulus": MODULUS, "--phi1": MATRIX_TEXT, "--phi2": MATRIX_TEXT,
+                         "--psi12": MATRIX_TEXT, "--psi21": MATRIX_TEXT, "--demo": st.none(),
+                         "--seed": SEED, "--size": SIZE},
+    ("lift", "sl"): {"--matrix": MATRIX_TEXT, "--modulus": MODULUS, "--demo": st.none(),
+                     "--seed": SEED, "--size": SIZE},
+    ("lift", "crt"): {"--m": MODULUS, "--matrix": MATRIX_TEXT},
 }
+REPEATABLE = {("lift", "family", "--matrix"), ("motive", "integral", "--summand")}
+SWITCHES = {"--demo", "--all"}
 
 
 @st.composite
-def lift_argv(draw):
-    """Each option of the verb is given with odds 3:1 (``--demo`` 1:3, and
-    ``--matrix`` of ``family`` up to three times), so that required
-    options and the four isomorphism matrices often come together."""
-    verb = draw(st.sampled_from(sorted(LIFT_OPTIONS)))
-    argv = ["lift", verb]
-    for flag, values in sorted(LIFT_OPTIONS[verb].items()):
-        if flag == "--demo":
+def cli_argv(draw):
+    """Each option of the verb is given with odds 7:1 (a switch 1:3, a
+    repeatable option up to three times), so that required options and
+    the four isomorphism matrices often come together."""
+    verb = draw(st.sampled_from(sorted(VERB_OPTIONS)))
+    argv = list(verb)
+    for flag, values in sorted(VERB_OPTIONS[verb].items()):
+        if flag == "gens":
+            argv += draw(values)
+            continue
+        if flag in SWITCHES:
             times = int(draw(st.integers(0, 3)) == 0)
-        elif (verb, flag) == ("family", "--matrix"):
+        elif verb + (flag,) in REPEATABLE:
             times = draw(st.integers(0, 3))
         else:
-            times = min(draw(st.integers(0, 3)), 1)
+            times = int(not draw(ONE_IN_EIGHT))
         for _ in range(times):
             value = draw(values)
-            argv += [flag] if value is None else [flag, value]
+            if value is None:
+                argv.append(flag)
+            else:   # --flag=-1,2: argparse would read a bare -1,2 as an option
+                argv += ["%s=%s" % (flag, value)] if value.startswith("-") else [flag, value]
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
-@settings(max_examples=500, deadline=None)
-@given(lift_argv())
-def test_lift_argv_fuzz_keeps_the_cli_contract(argv):
+# The four kinds of bare ValueError that the benchmark's invalid-input
+# slice pins (perfbench/w_cli.py): an unknown rank such as E9, a non-prime
+# --p, a J entry outside its JInvariant range, and a theta vertex outside
+# the diagram.  They end in a traceback until the benchmark's contract
+# changes, so the fuzz lets them through.
+PINNED = (r"rank -?\d+ invalid for series", r"p = .* is not prime",
+          r"j_\d+ = -?\d+ outside 0\.\.", r"vertices .* outside 1\.\.")
+
+
+@settings(max_examples=800, deadline=None)
+@given(cli_argv())
+def test_argv_fuzz_keeps_the_cli_contract(argv):
     """Exit 0, 1 or 2, nothing raised out of execute (a traceback in a
     process), and under --json one JSON document on success and no
-    stdout on failure."""
+    stdout on failure.  A bare ValueError of one of the PINNED kinds is
+    skipped."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = execute(argv)
+        try:
+            status = execute(argv)
+        except ValueError as exc:
+            if type(exc) is ValueError and any(re.match(k, str(exc)) for k in PINNED):
+                return
+            raise
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if "--json" in argv:

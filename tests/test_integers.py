@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import jcalc.integers
+from jcalc.errors import SearchBudgetExceeded
 from jcalc.idempotent_lab import ModMatrix
 from jcalc.integers import factorize, int_det, is_prime, mobius, padic_valuation, prime_power
 
@@ -38,6 +40,40 @@ def test_factorization(n):
     for p, e in factors:
         product *= p ** e
     assert product == (n if n >= 2 else 1)
+
+
+def test_factorization_refuses_a_cofactor_beyond_the_trial_budget():
+    n = 2 ** 64 + 13   # no prime factor up to the budget
+    for call in (factorize, is_prime, prime_power, mobius):
+        with pytest.raises(SearchBudgetExceeded, match="factoring %d .* budget %d"
+                           % (n, jcalc.integers._TRIAL_BUDGET)):
+            call(n)
+
+
+def test_factorization_finishes_up_to_the_square_of_the_budget():
+    budget = jcalc.integers._TRIAL_BUDGET
+    # 10^12 + 39 is prime and below (budget + 1)^2; 2^80 and 10^30 shrink
+    # to 1 long before the budget
+    assert (budget + 1) ** 2 > 10 ** 12 + 39 and is_prime(10 ** 12 + 39)
+    assert factorize(2 ** 80 * (10 ** 12 + 39)) == [(2, 80), (10 ** 12 + 39, 1)]
+    assert factorize(10 ** 30) == [(2, 30), (5, 30)]
+
+
+@given(st.integers(min_value=2, max_value=5000))
+def test_a_small_budget_factors_exactly_or_refuses(n):
+    # with budget 10, n is refused exactly when its part prime to 2..10
+    # is at least 11^2
+    full, rest = factorize(n), n
+    for p, e in full:
+        if p <= 10:
+            rest //= p ** e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jcalc.integers, "_TRIAL_BUDGET", 10)
+        if rest >= 121:
+            with pytest.raises(SearchBudgetExceeded):
+                factorize(n)
+        else:
+            assert factorize(n) == full
 
 
 @given(st.integers(min_value=-5, max_value=5000))
