@@ -2,9 +2,9 @@
 """Record the command-line output corpus replayed by tests/test_cli.py.
 
 Runs a fixed list of argument vectors through ``jcalc.cli.execute``, in
-text mode and with ``--json``, and writes each call's exit status and
-stdout to tests/data/cli_corpus.json.  The replay test asserts that the
-current code prints the same bytes, so a refactor that is meant to keep
+text mode and with ``--json``, and writes each call's exit status,
+stdout and stderr to tests/data/cli_corpus.json.  The replay test asserts that the
+current code prints the same bytes on both streams, so a refactor that is meant to keep
 behaviour can be checked against output recorded before it.
 
     PYTHONPATH=src python scripts/record_cli_corpus.py
@@ -54,6 +54,8 @@ CALLS = [
      "--theta", "1,2,3,4,5", "--tits-index", "2", "--splitting-degree", "2"],
     ["motive", "decompose", "--form", "E8", "--p", "5", "--j", "1",
      "--theta", "1,2,3,4,5,6,7,8"],
+    ["motive", "decompose", "--form", "E8", "--p", "5", "--j", "1",
+     "--theta", "2,3,4,5", "--tits-index", "1", "--splitting-degree", "8"],
     ["motive", "candim", "--p", "2", "--d", "3,5,9,15", "--k", "3,2,1,1",
      "--j", "1,1,1,1"],
     ["motive", "torsion-bound", "--p", "2", "--j", "3,2,1,1"],
@@ -61,6 +63,7 @@ CALLS = [
     ["motive", "integral", "--total", PAPER_TOTAL, "--m", "6"] + SUMMANDS,
     ["motive", "integral", "--total", PAPER_TOTAL, "--m", "6", "--all"] + SUMMANDS,
     ["motive", "integral", "--total", "1,1", "--m", "6"] + SUMMANDS,
+    ["motive", "integral", "--total", "1,3,2", "--m", "2", "--summand", "2:1"],
     ["flag", "poincare", "--type", "D5", "--theta", "1,3"],
     ["flag", "poincare", "--type", "E6"],
     ["lift", "idempotent", "--matrix", "1,2;0,0", "--modulus", "4"],
@@ -83,10 +86,10 @@ CALLS = [
 
 
 def record_one(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = execute(argv)
-    return {"argv": argv, "status": status, "stdout": buf.getvalue()}
+    return {"argv": argv, "status": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def main() -> int:

@@ -486,8 +486,8 @@ def test_recorded_corpus_replays_byte_identically(capsys):
     corpus = json.loads(CORPUS.read_text())
     drift = []
     for entry in corpus:
-        status, out, _err = run(capsys, *entry["argv"])
-        if (status, out) != (entry["status"], entry["stdout"]):
+        got = run(capsys, *entry["argv"])
+        if got != (entry["status"], entry["stdout"], entry["stderr"]):
             drift.append(" ".join(entry["argv"]))
-    assert len(corpus) == 88
+    assert len(corpus) == 92
     assert drift == []
