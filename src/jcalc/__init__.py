@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": (
         "ContextMismatch DeterminantNotOne HypothesisViolated IndexOutOfRange "
-        "InternalInconsistency InvalidInput JCalcError LengthMismatch MissingPrime "
+        "InternalInconsistency InvalidInput JCalcError MissingPrime "
         "NegativeCoefficient NoDivisor NonIntegralRank NotAFamily NotAlmostIdempotent "
         "NotDivisible NotGenericallySplit ParseError SearchBudgetExceeded UnsupportedForm"),
     "idempotent_lab": (
@@ -26,7 +26,7 @@ _HOMES = {
     "jinvariant": "JInvariant apply_steenrod_rule enumerate_admissible is_admissible",
     "kac_table": (
         "ConstraintRule GroupForm TorsionData constraint_rules expand_table parse_form "
-        "so_torsion_data spin_torsion_data table_rows torsion_data torsion_primes"),
+        "table_rows torsion_data torsion_primes"),
     "motive": (
         "MotiveDecomposition canonical_p_dimension decompose integral_decomposition "
         "is_m_positive is_sum_indecomposable rational_cycle_counts rost_poincare "
@@ -34,7 +34,7 @@ _HOMES = {
     "polynomial": "Poly cyclotomic",
     "root_data": (
         "UNKNOWN DynkinType is_generically_split poincare_complete_flag "
-        "poincare_homogeneous poincare_weyl_subgroup positive_root_count "
+        "poincare_homogeneous poincare_weyl_subgroup "
         "theta_components weyl_degrees weyl_order"),
     "sweep": (
         "SweepReport admissible_census consistent_split_thetas consistent_split_vertices "

@@ -160,7 +160,7 @@ def _cmd_motive_candim(args) -> Tuple[object, List[str]]:
 def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
     from .integers import is_prime
     from .jinvariant import JInvariant
-    from .motive import torsion_index_bound
+    from .motive import _power_bound, torsion_index_bound
     if args.d or args.k:
         # validate against a full context when one is supplied
         bound = torsion_index_bound(JInvariant(_context(args), args.j))
@@ -168,7 +168,7 @@ def _cmd_motive_torsion_bound(args) -> Tuple[object, List[str]]:
         raise ParseError("--p must be a prime and --j nonnegative, got p = %d, j = %s"
                          % (args.p, ",".join(map(str, args.j))))
     else:
-        bound = args.p ** sum(args.j)
+        bound = _power_bound(args.p, sum(args.j))
     return {"p": args.p, "j": list(args.j), "bound": bound}, [str(bound)]
 
 

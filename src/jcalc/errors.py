@@ -22,10 +22,6 @@ class ContextMismatch(JCalcError):
     """Operands live over different torsion contexts (p, d, k)."""
 
 
-class LengthMismatch(JCalcError):
-    """Tuples that must have equal length do not."""
-
-
 class InternalInconsistency(JCalcError):
     """An identity guaranteed by the embedded tables failed; data is corrupt."""
 

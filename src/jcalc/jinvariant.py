@@ -54,12 +54,6 @@ class JInvariant:
     def to_dict(self) -> Dict:
         return {"p": self.p, "j": list(self.j)}
 
-    @classmethod
-    def from_dict(cls, data: TorsionData, obj: Dict) -> "JInvariant":
-        if obj.get("p") != data.p:
-            raise ContextMismatch("JSON p = %r, context p = %d" % (obj.get("p"), data.p))
-        return cls(data, tuple(obj["j"]))
-
     def __str__(self) -> str:
         return "(%s)" % ",".join(str(x) for x in self.j)
 

@@ -328,26 +328,6 @@ _EXCEPTIONAL_ROWS: Dict[Tuple[str, int], Row] = {
 }
 
 
-def so_torsion_data(n: int) -> TorsionData:
-    """Raw SO_n torsion data at p = 2, for any n >= 3.
-
-    Useful where only the numbers matter and no group form is wanted
-    (for example SO_4, whose diagram A1 x A1 is not a simple type).
-    """
-    if n < 3:
-        raise UnsupportedForm("SO_n needs n >= 3")
-    d, k, _rules = _so_row(n)
-    return TorsionData(2, d, k)
-
-
-def spin_torsion_data(n: int) -> TorsionData:
-    """Raw Spin_n torsion data at p = 2, for any n >= 7."""
-    if n < 7:
-        raise UnsupportedForm("Spin_n has no torsion below n = 7")
-    d, k, _rules = _spin_row(n)
-    return TorsionData(2, d, k)
-
-
 _NO_ROW: Row = ((), (), ())
 
 

@@ -33,8 +33,8 @@ from .errors import (
 from .integers import factorize, is_prime, prime_power
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import (Poly, _cancel_common, cyclotomic, cyclotomic_degrees,
-                         cyclotomic_exponents, degree_ratio)
+from .polynomial import (Poly, _cancel_common, _from_exponents, cyclotomic,
+                         cyclotomic_degrees, cyclotomic_exponents, degree_ratio)
 from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
 
 # Nothing here reads this name; perfbench/tracer.py swaps a traced proxy in at it.
@@ -45,31 +45,17 @@ Degrees = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 @dataclass(frozen=True)
 class MotiveDecomposition:
-    """total = summand * multiplicities, all coefficients nonnegative."""
+    """total = summand * multiplicities, all coefficients nonnegative:
+    decompose guarantees this identity, and the type does not check it."""
 
     summand_poincare: Poly
     multiplicities: Poly
     total_poincare: Poly
 
-    def __post_init__(self):
-        if self.summand_poincare * self.multiplicities != self.total_poincare:
-            raise NotDivisible("summand times multiplicities is not the total")
-        if not self.multiplicities.is_nonnegative:
-            raise NegativeCoefficient("negative twist multiplicity")
-        if self.multiplicities[0] < 1:
-            raise NegativeCoefficient("the untwisted copy is missing")
-
     @property
     def summand_count(self) -> int:
         """Number of twisted copies, the multiplicity value at t = 1."""
         return self.multiplicities(1)
-
-    def twists(self) -> List[int]:
-        """The multiset of twists, each i repeated multiplicities[i] times."""
-        out = []
-        for i, c in enumerate(self.multiplicities.coeffs):
-            out.extend([i] * c)
-        return out
 
     def to_dict(self) -> Dict:
         return {
@@ -105,9 +91,21 @@ def canonical_p_dimension(data: TorsionData, J: JLike) -> int:
     return sum(num) - sum(den)
 
 
+# Largest bit length of p^{|J|}; its decimal form stays under str()'s 4,300 digits.
+_BOUND_BITS = 2 ** 13
+
+
 def torsion_index_bound(J: JInvariant) -> int:
     """Upper bound p^{sum j_i} for the p-part of the torsion index."""
-    return J.p ** J.weight
+    return _power_bound(J.p, J.weight)
+
+
+def _power_bound(p: int, weight: int) -> int:
+    """p^weight, refused first when weight * (bit length of p) > _BOUND_BITS."""
+    if weight * p.bit_length() > _BOUND_BITS:
+        raise SearchBudgetExceeded("p^|J| with p = %d and |J| = %d exceeds the budget of "
+                                   "%d bits" % (p, weight, _BOUND_BITS))
+    return p ** weight
 
 
 def rational_cycle_counts(data: TorsionData, J: JLike, flag_rank: int) -> Dict[str, int]:
@@ -337,12 +335,6 @@ def _factor_all(total: Poly, table: Dict[int, Poly]
     return c, e, factors
 
 
-def _from_exponents(c: int, e: Iterable[int]) -> Poly:
-    """c * prod Phi_n^{e_n}, built as a degree ratio."""
-    sign, num, den = cyclotomic_degrees(e)
-    return degree_ratio(num, den) * (sign * c)
-
-
 def _join(vectors: Iterable[Exponents]) -> List[int]:
     """The componentwise maximum of exponent vectors."""
     return [max(col) for col in itertools.zip_longest(*vectors, fillvalue=0)]
@@ -499,6 +491,9 @@ def integral_decomposition(total: Poly, m: int,
     search of is_sum_indecomposable) wins.  Returns (f, total / f); with
     all_candidates=True, the list of every minimal candidate of the best
     degree is returned instead, since minimal divisors need not be unique.
+    A candidate whose cofactor total / f has a negative coefficient is no
+    decomposition and is dropped; with none left, NoDivisor names the
+    first one's lowest negative cofactor coefficient.
     """
     if not total:
         raise NoDivisor("the zero polynomial has no m-positive divisor")
@@ -519,7 +514,11 @@ def integral_decomposition(total: Poly, m: int,
         raise NoDivisor("no m-positive divisor of the given polynomial")
     if not found:
         raise NoDivisor("every m-positive divisor splits as a sum")
-    if all_candidates:
-        return [(f, total.exact_div(f)) for f in found]
-    f = found[0]
-    return f, total.exact_div(f)
+    results = [(f, total.exact_div(f)) for f in found]
+    kept = [(f, mult) for f, mult in results if mult.is_nonnegative]
+    if not kept:
+        f, mult = results[0]
+        i, c = next((i, c) for i, c in enumerate(mult) if c < 0)
+        raise NoDivisor("the cofactor of the minimal m-positive divisor (degree %d) has "
+                        "coefficient %d at t^%d" % (f.degree, c, i))
+    return kept if all_candidates else kept[0]

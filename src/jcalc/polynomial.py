@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterable, Iterator, List, Tuple
 
-from .errors import NotDivisible
+from .errors import NotDivisible, SearchBudgetExceeded
 from .integers import mobius
 
 
@@ -213,26 +213,17 @@ class Poly:
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self._c)
 
-    @property
-    def is_palindromic(self) -> bool:
-        """Coefficient sequence reads the same in both directions."""
-        return self._c == tuple(reversed(self._c))
-
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1.
+    """The n-th cyclotomic polynomial, _from_exponents at the unit vector e_n.
 
     >>> str(cyclotomic(6))
     '1 - t + t^2'
     """
     if n < 1:
         raise ValueError("n must be positive")
-    num = Poly.monomial(n, 1) - Poly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            num = num.exact_div(cyclotomic(d))
-    return num
+    return _from_exponents(1, (0,) * (n - 1) + (1,))
 
 
 def cyclotomic_exponents(num: Iterable[int], den: Iterable[int]) -> Tuple[int, ...]:
@@ -288,6 +279,12 @@ def cyclotomic_degrees(e: Iterable[int]) -> Tuple[int, Tuple[int, ...], Tuple[in
     return (-1 if e and e[0] % 2 else 1), num, den
 
 
+def _from_exponents(c: int, e: Iterable[int]) -> Poly:
+    """c * prod Phi_n^{e_n}, built as a degree ratio."""
+    sign, num, den = cyclotomic_degrees(e)
+    return degree_ratio(num, den) * (sign * c)
+
+
 def _cancel_common(num: Iterable[int], den: Iterable[int]) -> Tuple[List[int], List[int]]:
     """num and den less the degrees they share, one copy per match; on a
     dozen degrees list.remove is several times faster than a Counter.
@@ -304,16 +301,26 @@ def _cancel_common(num: Iterable[int], den: Iterable[int]) -> Tuple[List[int], L
     return num, rest
 
 
+# Largest degree a degree ratio may have; flag poincare A300 --theta 1
+# has degree 45,150, an E8 complete flag 120.
+_DEGREE_BUDGET = 2 ** 20
+
+
 def degree_ratio(num: Iterable[int], den: Iterable[int]) -> Poly:
     """prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b), which must be
     a polynomial.  Common degrees cancel; the rest is a power series up to
-    degree sum(num) - sum(den), O(degree) per factor.
+    degree sum(num) - sum(den), O(degree) per factor, checked against
+    _DEGREE_BUDGET before the first coefficient.
 
     >>> degree_ratio((2, 3), (1, 1))
     Poly([1, 2, 2, 1])
     """
     num, den = _cancel_common(num, den)
-    f = [1] + [0] * (sum(num) - sum(den))
+    degree = sum(num) - sum(den)
+    if degree > _DEGREE_BUDGET:     # str() raises on an int of over 4,300 digits
+        raise SearchBudgetExceeded("a polynomial of degree %s exceeds budget %d" % (
+            degree if degree < 2 ** 64 else "above 2^64", _DEGREE_BUDGET))
+    f = [1] + [0] * degree
     for a in num:
         f[a:] = map(sub, f[a:], f)          # times 1 - t^a
     for b in den:

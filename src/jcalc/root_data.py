@@ -106,11 +106,6 @@ def weyl_order(t: DynkinType) -> int:
     return math.prod(weyl_degrees(t))
 
 
-def positive_root_count(t: DynkinType) -> int:
-    """Number of positive roots, equal to the dimension of the full flag."""
-    return sum(d - 1 for d in weyl_degrees(t))
-
-
 def poincare_complete_flag(t: DynkinType) -> Poly:
     """Poincare polynomial of the complete flag variety of the given type.
 

@@ -37,8 +37,8 @@ Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b)
   Otherwise motive.twist_multiplicities decides, and it alone writes
   failure witnesses.
 
-Nothing outlives one call.  On a shared 2-vCPU machine with Python
-3.11, max_rank 8 / 10 / 12 take about 0.10 / 0.27 / 0.8 s.
+Nothing outlives one call.  perfbench's `sweep` workload measures its
+time.
 """
 
 from __future__ import annotations

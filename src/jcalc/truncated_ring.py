@@ -13,12 +13,11 @@ from generating cycles, and a small text format for elements.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ContextMismatch, LengthMismatch, ParseError
+from .errors import ContextMismatch, ParseError
 from .kac_table import TorsionData
 
 Monomial = Tuple[int, ...]
@@ -70,18 +69,6 @@ def deglex_key(monomial: Monomial, data: TorsionData) -> Tuple[int, Tuple[int, .
     comparison of the reversed exponent tuples.
     """
     return (codim(monomial, data), tuple(reversed(monomial)))
-
-
-def precedes(a: Monomial, b: Monomial) -> bool:
-    """The componentwise partial order on exponent tuples."""
-    if len(a) != len(b):
-        raise LengthMismatch("tuples of lengths %d and %d" % (len(a), len(b)))
-    return all(x <= y for x, y in zip(a, b))
-
-
-def all_monomials(data: TorsionData) -> Iterable[Monomial]:
-    """Every nonzero monomial of the ring, p^{|K|} of them."""
-    return itertools.product(*[range(cap) for cap in data.caps])
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +124,6 @@ class RingElement:
     @property
     def terms(self) -> Dict[Monomial, int]:
         return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coefficient(self, monomial: Monomial) -> int:
         return self._terms.get(tuple(monomial), 0)

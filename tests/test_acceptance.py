@@ -21,9 +21,9 @@ from jcalc.idempotent_lab import (
 )
 from jcalc.jinvariant import enumerate_admissible
 from jcalc.kac_table import (
+    _so_row,
     TorsionData,
     parse_form,
-    so_torsion_data,
     table_rows,
     torsion_data,
 )
@@ -39,11 +39,15 @@ from jcalc.root_data import DynkinType, poincare_homogeneous
 from jcalc.sweep import run_divisibility_sweep
 from jcalc.truncated_ring import (
     RingElement,
-    all_monomials,
     deglex_key,
     j_from_generators,
     lucas_binom,
 )
+
+
+def _all_monomials(data):
+    """Every nonzero monomial of the ring, p^{|K|} of them."""
+    return itertools.product(*[range(cap) for cap in data.caps])
 
 
 @contextmanager
@@ -199,7 +203,7 @@ class _DenseRingOracle:
 
     def __init__(self, data):
         self.data = data
-        self.monomials = sorted(all_monomials(data), key=lambda m: deglex_key(m, data))
+        self.monomials = sorted(_all_monomials(data), key=lambda m: deglex_key(m, data))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.dim = len(self.monomials)
         caps = data.caps
@@ -313,7 +317,7 @@ class _DenseRingOracle:
 
 def _generator_pool(data):
     """Monomials with small exponents plus a few two-term sums."""
-    monos = [m for m in all_monomials(data)
+    monos = [m for m in _all_monomials(data)
              if any(m) and all(e <= 2 for e in m)]
     monos.sort(key=lambda m: deglex_key(m, data))
     pool = [RingElement.monomial(data, m) for m in monos]
@@ -412,6 +416,7 @@ def test_criterion_8_canonical_p_dimension():
         assert pairs > 500
         # Pfister forms: J = (0,...,0,1) for SO of a 2^k-dimensional form
         for k in range(2, 6):
-            data = so_torsion_data(2 ** k)
+            # SO_{2^k} at p = 2; SO_4's A1 x A1 has no simple-type form
+            data = TorsionData(2, *_so_row(2 ** k)[:2])
             j = (0,) * (data.r - 1) + (1,)
             assert canonical_p_dimension(data, j) == 2 ** (k - 1) - 1

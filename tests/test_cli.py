@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,7 +309,15 @@ class TestOutputModes:
         json.loads(out)  # would fail if more than one document were emitted
 
 
-BAD_ARGV = [
+# Dense builds that one argv makes huge: a degree-(2^30 - 1) summand and
+# a 2^99999999 bound; the degree and weight budgets refuse them first.
+HUGE_BUILDS = [
+    ["motive", "rost-poincare", "--p", "2", "--d", "1", "--k", "30", "--j", "30"],
+    ["motive", "torsion-bound", "--p", "2", "--j", "99999999"],
+    ["motive", "torsion-bound", "--p", "2", "--j", "999999999999"],
+]
+
+BAD_ARGV = HUGE_BUILDS + [
     ["motive", "rost-poincare", "--p", "2", "--d", "3,5", "--k", "1", "--j", "1"],
     ["ring", "j-from-gens", "--p", "2", "--d", "2", "--k", "1", "x1"],
     ["lift", "idempotent", "--matrix", "1,1,1,1", "--modulus", "4"],
@@ -330,6 +339,17 @@ def test_bad_input_exits_without_a_traceback(capsys, argv):
         assert "Traceback" not in err
         if mode:
             assert out == ""
+
+
+@pytest.mark.parametrize("argv", HUGE_BUILDS, ids=" ".join)
+def test_huge_dense_build_is_exit_1_in_a_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(jcalc.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "jcalc.cli", *argv, "--json"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and "budget" in proc.stderr
 
 
 # Argv for every verb, valid or not.  Lift verbs get square matrices of

@@ -164,9 +164,4 @@ class TestJson:
         packed = value.to_dict()
         assert packed == {"p": 2, "j": [1, 1, 0]}
         data = torsion_data(parse_form("E7sc"), 2)
-        assert JInvariant.from_dict(data, packed) == value
-
-    def test_from_dict_checks_p(self):
-        data = torsion_data(parse_form("E7sc"), 2)
-        with pytest.raises(ContextMismatch):
-            JInvariant.from_dict(data, {"p": 3, "j": [0, 0, 0]})
+        assert JInvariant(data, packed["j"]) == value

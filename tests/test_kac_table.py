@@ -11,13 +11,13 @@ from jcalc.kac_table import (
     _FORM_SUFFIXES,
     _chain_rules,
     _log2_floor,
+    _so_row,
+    _spin_row,
     GroupForm,
     TorsionData,
     constraint_rules,
     expand_table,
     parse_form,
-    so_torsion_data,
-    spin_torsion_data,
     table_rows,
     torsion_data,
     torsion_primes,
@@ -90,9 +90,9 @@ class TestTorsionData:
     def test_so_formula(self):
         # SO_7: r = 2, d = (1,3), k = (2,1)
         assert torsion_data(parse_form("SO7"), 2) == TorsionData(2, (1, 3), (2, 1))
-        assert so_torsion_data(7) == TorsionData(2, (1, 3), (2, 1))
-        assert so_torsion_data(4) == TorsionData(2, (1,), (1,))
-        assert spin_torsion_data(7) == TorsionData(2, (3,), (1,))
+        assert _so_row(7)[:2] == ((1, 3), (2, 1))
+        assert _so_row(4)[:2] == ((1,), (1,))     # SO_4, whose A1 x A1 is not simple
+        assert _spin_row(7)[:2] == ((3,), (1,))
 
     def test_low_spin_groups_are_special(self):
         # Spin_3 = SL_2, Spin_5 = Sp_4, Spin_6 = SL_4: no torsion

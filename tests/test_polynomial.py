@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from jcalc.errors import NotDivisible
+from jcalc import polynomial
+from jcalc.errors import NotDivisible, SearchBudgetExceeded
 from jcalc.polynomial import (Poly, cyclotomic, cyclotomic_degrees, cyclotomic_exponents,
                               degree_ratio)
 
@@ -59,17 +62,43 @@ def test_ring_axioms(a_c, b_c, c_c):
     assert a * (b + c) == a * b + a * c
 
 
-def test_palindromic():
-    assert Poly([1, 2, 1]).is_palindromic
-    assert not Poly([1, 2]).is_palindromic
-    assert Poly.zero().is_palindromic
-
-
 def test_cyclotomic_basics():
     assert cyclotomic(1) == Poly([-1, 1])
     assert cyclotomic(2) == Poly([1, 1])
     assert cyclotomic(6) == Poly([1, -1, 1])
     assert cyclotomic(12) == Poly([1, 0, -1, 0, 1])
+
+
+def test_cyclotomic_rejects_n_below_1():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """Phi_n as t^n - 1 divided exactly by each Phi_d, d | n, d < n: the
+    construction cyclotomic used before the Moebius degree ratio."""
+    num = Poly.monomial(n, 1) - Poly.one()
+    for d in range(1, n):
+        if n % d == 0:
+            num = num.exact_div(_cyclotomic_by_division(d))
+    return num
+
+
+def test_cyclotomic_matches_the_division_oracle():
+    assert cyclotomic(1) == _cyclotomic_by_division(1) == Poly([-1, 1])
+    assert [n for n in range(1, 501) if cyclotomic(n) != _cyclotomic_by_division(n)] == []
+
+
+def test_degree_ratio_refuses_a_degree_over_budget():
+    budget = polynomial._DEGREE_BUDGET
+    assert degree_ratio((budget + 1,), (1,)).degree == budget
+    with pytest.raises(SearchBudgetExceeded, match="degree %d exceeds budget %d"
+                       % (budget + 1, budget)):
+        degree_ratio((budget + 2,), (1,))
+    with pytest.raises(SearchBudgetExceeded, match="degree above 2\\^64"):
+        degree_ratio((2 ** 200,), ())
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 8, 12, 30])

@@ -7,12 +7,10 @@ from jcalc.errors import ContextMismatch, ParseError
 from jcalc.kac_table import TorsionData
 from jcalc.truncated_ring import (
     RingElement,
-    all_monomials,
     codim,
     deglex_key,
     j_from_generators,
     lucas_binom,
-    precedes,
     subring_closure,
 )
 
@@ -74,15 +72,15 @@ class TestDegLex:
 
     @given(monomials, monomials)
     def test_refines_componentwise_order(self, a, b):
-        if precedes(a, b):
+        if all(x <= y for x, y in zip(a, b)):
             assert deglex_compare(a, b, D35) <= 0
 
 
 class TestRingElement:
     def test_truncation_relation(self):
         x = RingElement.generator(F2X4, 1)
-        assert (x * x ** 3).is_zero
-        assert not (x ** 3).is_zero
+        assert not x * x ** 3
+        assert x ** 3
 
     def test_identity(self):
         one = RingElement.one(D35)
@@ -99,10 +97,6 @@ class TestRingElement:
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
             RingElement.one(D35) * RingElement.one(D11)
-
-    def test_monomial_count_is_p_to_K(self):
-        for data in (D35, D11, F2X4):
-            assert len(list(all_monomials(data))) == data.ring_rank
 
     small_elements = st.builds(
         lambda terms: RingElement(D11, terms),
@@ -133,7 +127,7 @@ class TestTextFormat:
         e = RingElement.parse(data, "1 + 2*x1^3*x2")
         assert e.coefficient((0, 0)) == 1
         assert e.coefficient((3, 1)) == 2
-        assert RingElement.parse(data, "0").is_zero
+        assert not RingElement.parse(data, "0")
 
     def test_rejects_exponent_at_cap(self):
         with pytest.raises(ParseError):
@@ -250,7 +244,7 @@ class TestClosureAgainstBasisProducts:
         new = subring_closure(gens, data)
         assert len(new) == len(old)
         assert {e.leading_monomial() for e in new} == set(old)
-        assert all(_reduce(e, old).is_zero for e in new)
+        assert not any(_reduce(e, old) for e in new)
 
 
 class TestJFromSubring:
