@@ -17,7 +17,7 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import JCalcError, ParseError
 
@@ -68,12 +68,6 @@ def _matrix_from_args(args):
     if args.matrix is None:
         raise ParseError("no matrix given; use --matrix or --in")
     return ModMatrix.parse(args.matrix, modulus=args.modulus)
-
-
-def _pfister(value: Optional[str]) -> Optional[bool]:
-    if value is None:
-        return None
-    return value == "yes"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +135,7 @@ def _cmd_motive_decompose(args) -> Tuple[object, List[str]]:
     dec = decompose(form, args.p, args.j, theta=args.theta,
                     tits_index=args.tits_index,
                     splitting_degree=args.splitting_degree,
-                    pfister=_pfister(args.pfister))
+                    pfister={"yes": True, "no": False}.get(args.pfister))
     lines = [
         "summand:        %s" % dec.summand_poincare,
         "multiplicities: %s" % dec.multiplicities,
@@ -218,10 +212,8 @@ def _cmd_lift_izvrat(args) -> Tuple[object, List[str]]:
     else:
         if not all([args.phi1, args.phi2, args.psi12, args.psi21]):
             raise ParseError("supply --phi1/--phi2/--psi12/--psi21 or use --demo")
-        phi1 = ModMatrix.parse(args.phi1, modulus=args.modulus)
-        phi2 = ModMatrix.parse(args.phi2, modulus=args.modulus)
-        psi12 = ModMatrix.parse(args.psi12, modulus=args.modulus)
-        psi21 = ModMatrix.parse(args.psi21, modulus=args.modulus)
+        phi1, phi2, psi12, psi21 = (ModMatrix.parse(text, modulus=args.modulus)
+                                    for text in (args.phi1, args.phi2, args.psi12, args.psi21))
     t12, t21 = lift_isomorphism(phi1, phi2, psi12, psi21)
     payload = {
         "theta12": [list(r) for r in t12.entries],

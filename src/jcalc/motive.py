@@ -86,8 +86,11 @@ def rost_poincare(data: TorsionData, J: JLike) -> Poly:
 
 
 def canonical_p_dimension(data: TorsionData, J: JLike) -> int:
-    """sum d_i (p^{j_i} - 1), the degree of the summand polynomial."""
-    num, den = summand_degrees(data, as_jinvariant(data, J))
+    """sum d_i (p^{j_i} - 1), the degree of the summand polynomial; refused
+    like torsion_index_bound when p^{|J|} exceeds _BOUND_BITS."""
+    J = as_jinvariant(data, J)
+    _power_bound(J.p, J.weight)
+    num, den = summand_degrees(data, J)
     return sum(num) - sum(den)
 
 

@@ -6,6 +6,22 @@ monomial is |M| = sum d_i m_i, and monomials are well-ordered by DegLex:
 first by codimension, ties broken at the greatest index where the
 exponents differ.  Ring elements are finite Z/p-linear combinations.
 
+The subring closure works on packed keys, one int per monomial:
+key(M) = (|M| << TOP) | sum m_i << shift_i, x_r in the top field, each
+field cap_i.bit_length() bits plus a guard bit.  Keys compare in DegLex
+order, key(M) + key(N) is the key of MN, and adding BIAS (2^width - cap_i
+per field) sets a GUARD bit exactly when some m_i + n_i reaches p^{k_i}:
+
+>>> data = TorsionData(3, (1, 4), (2, 1))          # x1^9 = x2^3 = 0
+>>> key, bias, guard, monomial = _packing(data)
+>>> monos = [(a, b) for a in range(9) for b in range(3)]
+>>> sorted(monos, key=key) == sorted(monos, key=lambda m: deglex_key(m, data))
+True
+>>> monomial(key((4, 0)) + key((4, 1)))
+(8, 1)
+>>> [bool((key(m) + key((4, 1)) + bias) & guard) for m in [(4, 0), (5, 0)]]
+[False, True]
+
 The module also provides the digit-wise Lucas evaluation of binomial
 coefficients mod p, the subring closure used to read off J-invariants
 from generating cycles, and a small text format for elements.
@@ -17,7 +33,7 @@ import math
 import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ContextMismatch, ParseError
+from .errors import ContextMismatch, ParseError, SearchBudgetExceeded
 from .kac_table import TorsionData
 
 Monomial = Tuple[int, ...]
@@ -112,8 +128,7 @@ class RingElement:
         """x_i, 1-based."""
         if not 1 <= i <= data.r:
             raise ValueError("generator index %d outside 1..%d" % (i, data.r))
-        mono = tuple(1 if j == i - 1 else 0 for j in range(data.r))
-        return cls(data, {mono: 1})
+        return cls(data, {tuple(1 if j == i - 1 else 0 for j in range(data.r)): 1})
 
     @classmethod
     def monomial(cls, data: TorsionData, exponents: Sequence[int], coeff: int = 1) -> "RingElement":
@@ -133,10 +148,6 @@ class RingElement:
         if not self._terms:
             return None
         return max(self._terms, key=lambda m: deglex_key(m, self.data))
-
-    def leading_coefficient(self) -> int:
-        lead = self.leading_monomial()
-        return 0 if lead is None else self._terms[lead]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -179,23 +190,19 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check(other)
-        caps = self.data.caps
         out: Dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 prod = tuple(a + b for a, b in zip(m1, m2))
-                if any(e >= cap for e, cap in zip(prod, caps)):
-                    continue  # truncation relation x_i^{p^{k_i}} = 0
                 out[prod] = out.get(prod, 0) + c1 * c2
-        return RingElement(self.data, out)
+        return RingElement(self.data, out)      # drops what x_i^{p^{k_i}} = 0 kills
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
             raise ValueError("negative power")
-        result = RingElement.one(self.data)
-        base = self
+        result, base = RingElement.one(self.data), self
         while n:
             if n & 1:
                 result = result * base
@@ -207,24 +214,13 @@ class RingElement:
 
     def to_text(self) -> str:
         """Canonical text form: terms ascending in DegLex, e.g. ``1 + 2*x1^3*x2``."""
-        if not self._terms:
-            return "0"
         parts = []
         for mono in sorted(self._terms, key=lambda m: deglex_key(m, self.data)):
             c = self._terms[mono]
-            factors = []
-            for idx, e in enumerate(mono, start=1):
-                if e == 1:
-                    factors.append("x%d" % idx)
-                elif e > 1:
-                    factors.append("x%d^%d" % (idx, e))
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("%d*%s" % (c, "*".join(factors)))
-        return " + ".join(parts)
+            factors = ["x%d" % i if e == 1 else "x%d^%d" % (i, e)
+                       for i, e in enumerate(mono, start=1) if e]
+            parts.append("*".join(factors if c == 1 and factors else [str(c)] + factors))
+        return " + ".join(parts) or "0"
 
     @classmethod
     def parse(cls, data: TorsionData, text: str) -> "RingElement":
@@ -233,29 +229,23 @@ class RingElement:
         Coefficients must be canonical residues and exponents must stay
         below the truncation bounds p^{k_i}; anything else is rejected.
         """
-        text = text.strip()
-        if text == "0":
-            return cls.zero(data)
+        text = text.strip()                      # "0" parses as the term 0 * 1
         terms: Dict[Monomial, int] = {}
         for chunk in text.split("+"):
             chunk = chunk.strip()
             if not chunk:
                 raise ParseError("empty term in %r" % (text,))
-            coeff = 1
-            exps = [0] * data.r
-            saw_coeff = False
+            coeff, exps, saw_coeff = 1, [0] * data.r, False
             for factor in (f.strip() for f in chunk.split("*")):
                 if factor.isdigit():
                     if saw_coeff:
                         raise ParseError("two coefficients in term %r" % (chunk,))
-                    coeff = int(factor)
-                    saw_coeff = True
+                    coeff, saw_coeff = int(factor), True
                     continue
                 m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", factor)
                 if not m:
                     raise ParseError("bad factor %r" % (factor,))
-                idx = int(m.group(1))
-                e = int(m.group(2) or 1)
+                idx, e = int(m.group(1)), int(m.group(2) or 1)
                 if not 1 <= idx <= data.r:
                     raise ParseError("variable x%d outside x1..x%d" % (idx, data.r))
                 exps[idx - 1] += e
@@ -278,26 +268,39 @@ class RingElement:
 # Subring closure and J-invariant extraction
 # ---------------------------------------------------------------------------
 
-def _reduce_against(elem: RingElement, pivots: Dict[Monomial, RingElement]) -> RingElement:
-    """Eliminate the leading monomial of elem against the pivot set."""
-    while True:
-        lead = elem.leading_monomial()
-        if lead is None or lead not in pivots:
-            return elem
-        elem = elem - pivots[lead].scale(elem.leading_coefficient())
+# Largest ring rank p^{k_1 + ... + k_r} in which a subring closure is attempted.
+_RING_RANK_BUDGET = 2 ** 12
+
+
+def _packing(data: TorsionData):
+    """key, BIAS, GUARD and the inverse of key on the monomials of data."""
+    fields, top, bias, guard = [], 0, 0, 0         # fields: (shift, mask), x_1 lowest
+    for cap in data.caps:
+        width = cap.bit_length()
+        fields.append((top, (1 << width) - 1))
+        bias += ((1 << width) - cap) << top
+        guard |= 1 << (top + width)
+        top += width + 1
+
+    def key(mono: Monomial) -> int:
+        return (codim(mono, data) << top) + sum(m << s for m, (s, _) in zip(mono, fields))
+
+    def monomial(key: int) -> Monomial:
+        return tuple(key >> s & mask for s, mask in fields)
+
+    return key, bias, guard, monomial
 
 
 def subring_closure(gens: Sequence[RingElement],
                     data: Optional[TorsionData] = None) -> List[RingElement]:
     """Basis of the smallest unital subring containing the generators.
 
-    Grows span{1} by V <- V + sum_i g_i V: every new basis vector is
-    multiplied by each generator once, and each product is
-    Gaussian-eliminated over F_p, keyed by the DegLex leading monomial.
-    The final span contains 1 and is closed under multiplication by
-    every g_i, so it is the subring; the ring is finite, so this
-    terminates.  Basis vectors are monic with pairwise distinct leading
-    monomials, returned in descending DegLex order.
+    Grows span{1} by V <- V + sum_i g_i V: each new basis vector times
+    each generator, eliminated over F_p on its leading monomial (the max
+    of a {packed key: coefficient} row).  The span then contains 1 and is
+    closed under every g_i, so it is the subring.  Basis vectors are
+    monic with distinct leading monomials, in descending DegLex order.
+    Rings of rank above _RING_RANK_BUDGET are refused before any product.
     """
     if data is None:
         if not gens:
@@ -306,31 +309,36 @@ def subring_closure(gens: Sequence[RingElement],
     for g in gens:
         if g.data != data:
             raise ContextMismatch("generators live in different truncated rings")
-    p = data.p
-    pivots: Dict[Monomial, RingElement] = {}
-
-    def insert(elem: RingElement) -> Optional[RingElement]:
-        elem = _reduce_against(elem, pivots)
-        lead = elem.leading_monomial()
-        if lead is None:
-            return None
-        inv = pow(elem.leading_coefficient(), p - 2, p)
-        monic = elem.scale(inv)
-        pivots[lead] = monic
-        return monic
-
-    frontier = [insert(RingElement.one(data))]
-    while frontier:
-        fresh: List[RingElement] = []
-        for a in frontier:
-            for g in gens:
-                added = insert(a * g)
-                if added is not None:
-                    fresh.append(added)
-        frontier = fresh
-    return sorted(pivots.values(),
-                  key=lambda e: deglex_key(e.leading_monomial(), data),
-                  reverse=True)
+    p, total = data.p, sum(data.k)
+    if total >= _RING_RANK_BUDGET.bit_length() or p ** total > _RING_RANK_BUDGET:
+        raise SearchBudgetExceeded("a subring closure in a ring of rank %d^%d exceeds the "
+                                   "budget of %d monomials" % (p, total, _RING_RANK_BUDGET))
+    key, bias, guard, monomial = _packing(data)
+    rows = [{key(m): c for m, c in g._terms.items()} for g in gens]
+    pivots: Dict[int, Dict[int, int]] = {0: {0: 1}}     # lead key -> monic row; 1 has key 0
+    basis = [pivots[0]]                            # pivot rows in the order they appear
+    for a in basis:                                # basis grows while it is read
+        for g in rows:
+            row: Dict[int, int] = {}
+            for ka, ca in a.items():
+                for kg, cg in g.items():
+                    if not (ka + kg + bias) & guard:
+                        row[ka + kg] = row.get(ka + kg, 0) + ca * cg
+            row = {k: c % p for k, c in row.items() if c % p}
+            while row and (lead := max(row)) in pivots:
+                c = row[lead]
+                for k, v in pivots[lead].items():
+                    v = (row.get(k, 0) - c * v) % p
+                    if v:
+                        row[k] = v
+                    else:                          # only a key already in row cancels
+                        del row[k]
+            if row:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {k: c * inv % p for k, c in row.items()}
+                basis.append(pivots[lead])
+    return [RingElement(data, {monomial(k): c for k, c in row.items()})
+            for _lead, row in sorted(pivots.items(), reverse=True)]
 
 
 def j_from_generators(gens: Sequence[RingElement], data: TorsionData) -> Tuple[int, ...]:
@@ -343,9 +351,6 @@ def j_from_generators(gens: Sequence[RingElement], data: TorsionData) -> Tuple[i
     power x_i^{p^{k_i}} = 0 lies in every subring.
     """
     leads = {e.leading_monomial() for e in subring_closure(list(gens), data)}
-
-    def power(i: int, j: int) -> Monomial:        # x_{i+1}^{p^j}
-        return tuple(data.p ** j if m == i else 0 for m in range(data.r))
-
+    power = lambda i, j: tuple(data.p ** j if m == i else 0 for m in range(data.r))  # noqa: E731
     return tuple(next((j for j in range(ki) if power(i, j) in leads), ki)
                  for i, ki in enumerate(data.k))

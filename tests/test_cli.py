@@ -309,12 +309,16 @@ class TestOutputModes:
         json.loads(out)  # would fail if more than one document were emitted
 
 
-# Dense builds that one argv makes huge: a degree-(2^30 - 1) summand and
-# a 2^99999999 bound; the degree and weight budgets refuse them first.
+# Dense builds that one argv makes huge: a degree-(2^30 - 1) summand, a
+# 2^99999999 bound, a canonical dimension of 2^20000 - 1 and the closure
+# of x1 in a ring of rank 2^40; the degree, weight and ring-rank budgets
+# refuse them first.
 HUGE_BUILDS = [
     ["motive", "rost-poincare", "--p", "2", "--d", "1", "--k", "30", "--j", "30"],
     ["motive", "torsion-bound", "--p", "2", "--j", "99999999"],
     ["motive", "torsion-bound", "--p", "2", "--j", "999999999999"],
+    ["motive", "candim", "--p", "2", "--d", "1", "--k", "20000", "--j", "20000"],
+    ["ring", "j-from-gens", "--p", "2", "--d", "1", "--k", "40", "x1"],
 ]
 
 BAD_ARGV = HUGE_BUILDS + [

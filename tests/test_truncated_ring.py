@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jcalc.errors import ContextMismatch, ParseError
+from jcalc.errors import ContextMismatch, ParseError, SearchBudgetExceeded
 from jcalc.kac_table import TorsionData
 from jcalc.truncated_ring import (
     RingElement,
@@ -172,6 +172,16 @@ class TestSubringClosure:
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
 
+    def test_ring_rank_budget(self):
+        at_budget = TorsionData(2, (1,), (12,))            # rank 4096
+        assert subring_closure([RingElement.generator(at_budget, 1) ** 4095]) == [
+            RingElement.generator(at_budget, 1) ** 4095, RingElement.one(at_budget)]
+        for data in (TorsionData(2, (1,), (13,)), TorsionData(3, (1, 4), (4, 4)),
+                     TorsionData(2, (1,), (10 ** 6,))):
+            with pytest.raises(SearchBudgetExceeded, match=r"rank %d\^%d .* budget of 4096"
+                               % (data.p, sum(data.k))):
+                subring_closure([], data)
+
 
 def _reduce(elem, pivots):
     """Eliminate leading monomials against monic pivots keyed by their leads."""
@@ -179,7 +189,38 @@ def _reduce(elem, pivots):
         lead = elem.leading_monomial()
         if lead is None or lead not in pivots:
             return elem
-        elem = elem - pivots[lead].scale(elem.leading_coefficient())
+        elem = elem - pivots[lead].scale(elem.coefficient(lead))
+
+
+def _closure_by_elements(gens, data):
+    """Oracle: the closure on RingElement rows, as subring_closure computed it before.
+
+    The same V <- V + sum g_i V growth and the same top-only elimination,
+    with every product a RingElement and every leading monomial found
+    through deglex_key; returns the monic pivots in descending DegLex.
+    """
+    p = data.p
+    pivots = {}
+
+    def insert(elem):
+        elem = _reduce(elem, pivots)
+        lead = elem.leading_monomial()
+        if lead is None:
+            return None
+        pivots[lead] = elem.scale(pow(elem.coefficient(lead), p - 2, p))
+        return pivots[lead]
+
+    frontier = [insert(RingElement.one(data))]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                added = insert(a * g)
+                if added is not None:
+                    fresh.append(added)
+        frontier = fresh
+    return sorted(pivots.values(), key=lambda e: deglex_key(e.leading_monomial(), data),
+                  reverse=True)
 
 
 def _closure_by_basis_products(gens, data):
@@ -197,7 +238,7 @@ def _closure_by_basis_products(gens, data):
         lead = elem.leading_monomial()
         if lead is None:
             return None
-        pivots[lead] = elem.scale(pow(elem.leading_coefficient(), p - 2, p))
+        pivots[lead] = elem.scale(pow(elem.coefficient(lead), p - 2, p))
         return pivots[lead]
 
     frontier = [insert(RingElement.one(data))]
@@ -245,6 +286,57 @@ class TestClosureAgainstBasisProducts:
         assert len(new) == len(old)
         assert {e.leading_monomial() for e in new} == set(old)
         assert not any(_reduce(e, old) for e in new)
+
+
+# Dense generator sets over rings of rank 16 to 243, p = 2 and p = 3: the
+# packed-key closure must return the oracle's basis element for element.
+DENSE_CONTEXTS = [
+    (D11, 8),                                   # rank 16
+    (TorsionData(3, (1, 4), (1, 2)), 8),        # rank 27
+    (TorsionData(2, (1, 3, 5), (2, 2, 2)), 6),  # rank 64
+    (TorsionData(3, (4, 10), (2, 2)), 6),       # rank 81
+    (TorsionData(2, (3, 5, 9), (3, 2, 2)), 4),  # rank 128
+    (TorsionData(3, (1, 4, 10), (2, 1, 2)), 4), # rank 243
+]
+C4_8 = TorsionData(2, (1, 3), (2, 3))           # x1^4 = x2^8 = 0
+C9_3 = TorsionData(3, (1, 4), (2, 1))           # x1^9 = x2^3 = 0
+
+
+def _elements(data, *texts):
+    return data, [RingElement.parse(data, t) for t in texts]
+
+
+@st.composite
+def dense_cases(draw):
+    """Up to three generators x_i^e + (extra terms), e in {1, p}: closures
+    from a few elements to the whole ring, through dense products."""
+    data, max_terms = draw(st.sampled_from(DENSE_CONTEXTS))
+    monomial = st.tuples(*[st.integers(0, cap - 1) for cap in data.caps])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        i, e = draw(st.integers(0, data.r - 1)), draw(st.sampled_from([1, data.p]))
+        terms = {tuple(e if t == i else 0 for t in range(data.r)): 1}
+        terms.update(draw(st.dictionaries(monomial, st.integers(1, data.p - 1),
+                                          max_size=max_terms)))
+        gens.append(RingElement(data, terms))
+    return data, gens
+
+
+class TestClosureAgainstElementRows:
+    @given(dense_cases())
+    # exponent sums that reach the cap exactly: 2 + 2 = 4 and 4 + 4 = 8 at
+    # p = 2, where the cap is a power of two; 4 + 5 = 9 and 3 + 6 = 9 at p = 3
+    @example(_elements(C4_8, "x1^2*x2^4", "x1^3 + x1*x2^4"))
+    @example(_elements(C4_8, "x1^2 + x2^4 + x1^3*x2^7"))
+    @example(_elements(C9_3, "x1^4 + x2", "x1^5 + 2*x1^8*x2^2"))
+    @example(_elements(C9_3, "x1^3 + 2*x1^6*x2"))
+    # sums one below the cap: 1 + 2 = 3 and 3 + 4 = 7 at p = 2, 4 + 4 = 8 at p = 3
+    @example(_elements(C4_8, "x1 + x2^3", "x1^2 + x2^4"))
+    @example(_elements(C9_3, "x1^4 + x2^2"))
+    @settings(max_examples=100, deadline=None)
+    def test_same_basis_in_the_same_order(self, case):
+        data, gens = case
+        assert subring_closure(gens, data) == _closure_by_elements(gens, data)
 
 
 class TestJFromSubring:
