@@ -75,14 +75,14 @@ def _matrix_from_args(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_table_dump(args) -> Tuple[object, List[str]]:
-    from .kac_table import constraint_rules, expand_table, parse_form, table_rows
+    from .kac_table import constraint_rules, dump_row, parse_form, table_rows
     name = parse_form(args.form).name if args.form else None
     rows, lines = [], []
-    # expand_table walks table_rows in the same order, one dict per row
-    for (form, p), r in zip(table_rows(args.max_rank), expand_table(args.max_rank)):
+    for form, p in table_rows(args.max_rank):
         if (name and form.name != name) or (args.p and p != args.p):
             continue
         rules = "; ".join(str(rule) for rule in constraint_rules(form, p)) or "-"
+        r = dump_row(form, p)
         rows.append(r)
         lines.append("%-12s p=%d  r=%d  d=%s  k=%s  rules: %s"
                      % (r["form"], p, r["r"], r["d"], r["k"], rules))

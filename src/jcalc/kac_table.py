@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
+from .errors import InternalInconsistency, InvalidInput, SearchBudgetExceeded, UnsupportedForm
 from .integers import factorize, is_prime, padic_valuation
 from .root_data import DynkinType
 
@@ -415,22 +415,36 @@ def exceptional_forms() -> Iterator[GroupForm]:
     yield GroupForm(DynkinType("E", 8), "sc")
 
 
+# Largest classical rank a table walk reaches.  A dump's work grows about
+# as the cube of the rank: at rank 64 it prints 2 MB of text.
+_TABLE_RANK_BUDGET = 64
+
+
 def table_rows(max_rank: int = 8) -> Iterator[Tuple[GroupForm, int]]:
-    """All (form, p) pairs with a nontrivial row, classical ranks bounded."""
-    for form in itertools.chain(classical_forms(max_rank), exceptional_forms()):
-        for p in torsion_primes(form):
-            yield form, p
+    """All (form, p) pairs with a nontrivial row, classical ranks bounded.
+
+    A classical rank above _TABLE_RANK_BUDGET is refused before the walk.
+    """
+    if max_rank > _TABLE_RANK_BUDGET:
+        raise SearchBudgetExceeded("a table walk to classical rank %d exceeds the budget of "
+                                   "%d" % (max_rank, _TABLE_RANK_BUDGET))
+    return ((form, p) for form in itertools.chain(classical_forms(max_rank), exceptional_forms())
+            for p in torsion_primes(form))
+
+
+def dump_row(form: GroupForm, p: int) -> Dict:
+    """The machine-readable dump row of (form, p): {form, p, r, d, k, rules}."""
+    data = torsion_data(form, p)
+    return {
+        "form": form.name,
+        "p": p,
+        "r": data.r,
+        "d": list(data.d),
+        "k": list(data.k),
+        "rules": [rule.as_dict() for rule in constraint_rules(form, p)],
+    }
 
 
 def expand_table(max_rank: int = 8) -> Iterator[Dict]:
     """Machine-readable dump rows: {form, p, r, d, k, rules}."""
-    for form, p in table_rows(max_rank):
-        data = torsion_data(form, p)
-        yield {
-            "form": form.name,
-            "p": p,
-            "r": data.r,
-            "d": list(data.d),
-            "k": list(data.k),
-            "rules": [rule.as_dict() for rule in constraint_rules(form, p)],
-        }
+    return (dump_row(form, p) for form, p in table_rows(max_rank))

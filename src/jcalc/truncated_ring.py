@@ -94,7 +94,7 @@ def deglex_key(monomial: Monomial, data: TorsionData) -> Tuple[int, Tuple[int, .
 class RingElement:
     """A finite F_p-linear combination of monomials in a fixed context."""
 
-    __slots__ = ("data", "_terms")
+    __slots__ = ("data", "_terms", "_lead")
 
     def __init__(self, data: TorsionData, terms: Optional[Mapping[Monomial, int]] = None):
         self.data = data
@@ -112,6 +112,20 @@ class RingElement:
             if c:
                 clean[mono] = c
         self._terms = clean
+        self._lead: Optional[Monomial] = None
+
+    @classmethod
+    def _reduced(cls, data: TorsionData, terms: Dict[Monomial, int],
+                 lead: Monomial) -> "RingElement":
+        """An element whose terms are already reduced, with its lead recorded.
+
+        The caller vouches for what __init__ would check: every exponent
+        tuple has r entries below its cap, every coefficient is a nonzero
+        residue mod p, and lead is the DegLex-greatest monomial.
+        """
+        elem = object.__new__(cls)
+        elem.data, elem._terms, elem._lead = data, terms, lead
+        return elem
 
     # -- constructors ---------------------------------------------------
 
@@ -144,10 +158,15 @@ class RingElement:
         return self._terms.get(tuple(monomial), 0)
 
     def leading_monomial(self) -> Optional[Monomial]:
-        """Greatest monomial in DegLex order; None for the zero element."""
-        if not self._terms:
-            return None
-        return max(self._terms, key=lambda m: deglex_key(m, self.data))
+        """Greatest monomial in DegLex order; None for the zero element.
+
+        Elements are immutable, so the lead is found once and kept.  A
+        subring_closure basis element comes with the lead its pivot key
+        names and never searches its terms.
+        """
+        if self._lead is None and self._terms:
+            self._lead = max(self._terms, key=lambda m: deglex_key(m, self.data))
+        return self._lead
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -270,6 +289,11 @@ class RingElement:
 
 # Largest ring rank p^{k_1 + ... + k_r} in which a subring closure is attempted.
 _RING_RANK_BUDGET = 2 ** 12
+# Most coefficient products one subring closure forms, counted as
+# len(basis vector) * len(generator) per pass.  Closures in the tests and
+# the benchmark stay under 30,000 and dense whole rings of rank 256 under
+# 270,000; a dense rank-1,024 set reaches the budget in about 0.3 s.
+_CLOSURE_WORK_BUDGET = 2 ** 19
 
 
 def _packing(data: TorsionData):
@@ -286,7 +310,7 @@ def _packing(data: TorsionData):
         return (codim(mono, data) << top) + sum(m << s for m, (s, _) in zip(mono, fields))
 
     def monomial(key: int) -> Monomial:
-        return tuple(key >> s & mask for s, mask in fields)
+        return tuple([key >> s & mask for s, mask in fields])
 
     return key, bias, guard, monomial
 
@@ -299,8 +323,12 @@ def subring_closure(gens: Sequence[RingElement],
     each generator, eliminated over F_p on its leading monomial (the max
     of a {packed key: coefficient} row).  The span then contains 1 and is
     closed under every g_i, so it is the subring.  Basis vectors are
-    monic with distinct leading monomials, in descending DegLex order.
-    Rings of rank above _RING_RANK_BUDGET are refused before any product.
+    monic with distinct leading monomials, in descending DegLex order;
+    each is decoded from its pivot row once, with the lead its pivot key
+    names, and is not re-validated.  Rings of rank above
+    _RING_RANK_BUDGET are refused before any product, and a closure stops
+    before the (basis vector, generator) pass that would take its count
+    of coefficient products past _CLOSURE_WORK_BUDGET.
     """
     if data is None:
         if not gens:
@@ -317,8 +345,14 @@ def subring_closure(gens: Sequence[RingElement],
     rows = [{key(m): c for m, c in g._terms.items()} for g in gens]
     pivots: Dict[int, Dict[int, int]] = {0: {0: 1}}     # lead key -> monic row; 1 has key 0
     basis = [pivots[0]]                            # pivot rows in the order they appear
+    work = 0                                       # coefficient products formed so far
     for a in basis:                                # basis grows while it is read
         for g in rows:
+            work += len(a) * len(g)
+            if work > _CLOSURE_WORK_BUDGET:
+                raise SearchBudgetExceeded(
+                    "a subring closure would form %d coefficient products, past the budget "
+                    "of %d" % (work, _CLOSURE_WORK_BUDGET))
             row: Dict[int, int] = {}
             for ka, ca in a.items():
                 for kg, cg in g.items():
@@ -337,8 +371,8 @@ def subring_closure(gens: Sequence[RingElement],
                 inv = pow(row[lead], p - 2, p)
                 pivots[lead] = {k: c * inv % p for k, c in row.items()}
                 basis.append(pivots[lead])
-    return [RingElement(data, {monomial(k): c for k, c in row.items()})
-            for _lead, row in sorted(pivots.items(), reverse=True)]
+    return [RingElement._reduced(data, {monomial(k): c for k, c in row.items()}, monomial(lead))
+            for lead, row in sorted(pivots.items(), reverse=True)]
 
 
 def j_from_generators(gens: Sequence[RingElement], data: TorsionData) -> Tuple[int, ...]:

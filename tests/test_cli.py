@@ -319,6 +319,12 @@ HUGE_BUILDS = [
     ["motive", "torsion-bound", "--p", "2", "--j", "999999999999"],
     ["motive", "candim", "--p", "2", "--d", "1", "--k", "20000", "--j", "20000"],
     ["ring", "j-from-gens", "--p", "2", "--d", "1", "--k", "40", "x1"],
+    ["ring", "j-from-gens", "--p", "2", "--d", "1,3", "--k", "5,5",
+     "x1 + x1^8*x2^4 + x1^13*x2^6 + x1^31*x2 + x1^16*x2^7 + x1^17*x2^14 + x1^6*x2^20 + x2^28"
+     " + x1^30*x2^24 + x1^24*x2^27 + x1^31*x2^28",
+     "x1 + x2 + x1*x2 + x1^18*x2 + x1^27*x2 + x1^26*x2^6 + x1^24*x2^13 + x1^22*x2^14"
+     " + x1^31*x2^14 + x1^14*x2^29 + x1^14*x2^28"],
+    ["table", "dump", "--max-rank", "400"],
 ]
 
 BAD_ARGV = HUGE_BUILDS + [

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jcalc.errors import InternalInconsistency, InvalidInput, UnsupportedForm
+from jcalc.errors import (InternalInconsistency, InvalidInput, SearchBudgetExceeded,
+                          UnsupportedForm)
 from jcalc.integers import padic_valuation
 from jcalc.kac_table import (
     _FORM_SUFFIXES,
@@ -181,6 +182,12 @@ class TestDump:
             assert row["r"] == len(row["d"]) == len(row["k"])
             for rule in row["rules"]:
                 assert set(rule) == {"kind", "i", "j", "offset", "gate"}
+
+    def test_walk_budget(self):
+        table_rows(64)                      # the budget itself is admitted
+        for walk in (table_rows, expand_table):     # refused at the call, before any row
+            with pytest.raises(SearchBudgetExceeded, match="rank 65 exceeds the budget of 64"):
+                walk(65)
 
     def test_dump_contains_e8_row(self):
         rows = [r for r in expand_table(4) if r["form"] == "E8" and r["p"] == 5]

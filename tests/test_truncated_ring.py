@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +38,12 @@ class TestLucas:
         n = p ** k - 1
         for m in range(0, n + 1, max(1, n // 97)):
             assert lucas_binom(n, m, p) != 0
+
+
+def oracle_lead(elem):
+    """The DegLex-greatest monomial of elem, searched afresh on every call."""
+    terms = elem.terms
+    return max(terms, key=lambda m: deglex_key(m, elem.data)) if terms else None
 
 
 def deglex_compare(a, b, data):
@@ -115,6 +122,13 @@ class TestRingElement:
         assert a.leading_monomial() == (1, 1)  # codim 8 beats 6
         assert RingElement.zero(D35).leading_monomial() is None
 
+    @given(small_elements, small_elements)
+    @settings(max_examples=60)
+    def test_cached_lead_matches_the_oracle(self, a, b):
+        for elem in (a, b, a * b, a + b):
+            assert elem.leading_monomial() == oracle_lead(elem)
+            assert elem.leading_monomial() == oracle_lead(elem)    # the kept lead
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -171,6 +185,36 @@ class TestSubringClosure:
         keys = [deglex_key(e.leading_monomial(), D11) for e in basis]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+    def test_whole_ring_closure_builds_no_validated_element(self, monkeypatch):
+        gens = [RingElement.generator(R256, 1), RingElement.generator(R256, 2)]
+        calls = []
+        init = RingElement.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RingElement, "__init__", counted)
+        basis = subring_closure(gens, R256)
+        assert len(basis) == R256.ring_rank == 256
+        assert {e.leading_monomial() for e in basis} == {oracle_lead(e) for e in basis}
+        assert calls == []
+
+    def test_work_budget(self):
+        # x1 and x2 each plus ten terms drawn by random.Random(1): a closure
+        # to the whole ring of rank 1,024 that ran 11-13 s with no work budget
+        data, gens = _elements(
+            TorsionData(2, (1, 3), (5, 5)),
+            "x1 + x1^8*x2^4 + x1^13*x2^6 + x1^31*x2 + x1^16*x2^7 + x1^17*x2^14 + x1^6*x2^20"
+            " + x2^28 + x1^30*x2^24 + x1^24*x2^27 + x1^31*x2^28",
+            "x1 + x2 + x1*x2 + x1^18*x2 + x1^27*x2 + x1^26*x2^6 + x1^24*x2^13 + x1^22*x2^14"
+            " + x1^31*x2^14 + x1^14*x2^29 + x1^14*x2^28")
+        with pytest.raises(SearchBudgetExceeded,
+                           match=r"would form (\d+) coefficient products, past the budget "
+                                 r"of 524288") as info:
+            subring_closure(gens, data)
+        assert int(re.search(r"form (\d+)", str(info.value)).group(1)) > 2 ** 19
 
     def test_ring_rank_budget(self):
         at_budget = TorsionData(2, (1,), (12,))            # rank 4096
@@ -337,6 +381,23 @@ class TestClosureAgainstElementRows:
     def test_same_basis_in_the_same_order(self, case):
         data, gens = case
         assert subring_closure(gens, data) == _closure_by_elements(gens, data)
+
+
+class TestDecodedBasis:
+    """Each basis element comes from its pivot row with no validation and a
+    recorded lead: it must equal the validated element of the same terms
+    and carry the lead a fresh search finds."""
+
+    @given(st.one_of(dense_cases(), closure_cases()))
+    @example(_elements(C4_8, "x1^2*x2^4", "x1^3 + x1*x2^4"))
+    @example(_elements(C9_3, "x1^4 + x2", "x1^5 + 2*x1^8*x2^2"))
+    @settings(max_examples=100, deadline=None)
+    def test_elements_keep_the_invariants_and_their_leads(self, case):
+        data, gens = case
+        for e in subring_closure(gens, data):
+            checked = RingElement(data, e.terms)
+            assert checked == e and hash(checked) == hash(e)
+            assert e.leading_monomial() == oracle_lead(e) == checked.leading_monomial()
 
 
 class TestJFromSubring:
