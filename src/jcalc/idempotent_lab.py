@@ -15,8 +15,8 @@ returning; nothing is approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, field
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -46,12 +46,18 @@ def _require_modulus(m: int) -> None:
         raise InvalidInput("modulus must be at least 2, got %d" % m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModMatrix:
-    """A square matrix with canonical entries in 0..m-1."""
+    """A square matrix with canonical entries in 0..m-1.
+
+    Public construction reduces and checks its entries; arithmetic
+    reduces while it builds its result and skips that check (_canonical).
+    """
 
     modulus: int
     entries: IntMatrix
+    # Rows packed for __mul__, kept the first time this is a right operand.
+    _packed: Optional[List[int]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.modulus
@@ -61,6 +67,18 @@ class ModMatrix:
         if any(len(row) != size for row in rows):
             raise InvalidInput("matrix must be square")
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _canonical(cls, modulus: int, entries: IntMatrix) -> "ModMatrix":
+        """A matrix whose entries are already square tuples of residues.
+
+        The caller vouches for what __post_init__ would check and reduce.
+        """
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "modulus", modulus)
+        object.__setattr__(mat, "entries", entries)
+        object.__setattr__(mat, "_packed", None)
+        return mat
 
     # -- constructors ---------------------------------------------------
 
@@ -89,17 +107,22 @@ class ModMatrix:
             raise InvalidInput("matrix shape or modulus mismatch: size %d mod %d against size "
                                "%d mod %d" % (self.size, self.modulus, other.size, other.modulus))
 
-    def __add__(self, other: "ModMatrix") -> "ModMatrix":
+    def _entrywise(self, op, other: "ModMatrix") -> "ModMatrix":
         self._check(other)
-        return ModMatrix(self.modulus, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        m = self.modulus
+        return ModMatrix._canonical(m, tuple([tuple([x % m for x in map(op, r1, r2)])
+                                              for r1, r2 in zip(self.entries, other.entries)]))
+
+    def __add__(self, other: "ModMatrix") -> "ModMatrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        return self + -other
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "ModMatrix":
-        return ModMatrix(self.modulus, tuple(tuple(-a for a in row) for row in self.entries))
+        m = self.modulus
+        return ModMatrix._canonical(m, tuple([tuple([-a % m for a in row])
+                                              for row in self.entries]))
 
     def __mul__(self, other):
         """Scalar multiple for an int, else the matrix product mod m.
@@ -110,18 +133,23 @@ class ModMatrix:
         Entries lie in 0..m-1, so field j ends as sum_k a_ik b_kj <=
         size*(m-1)**2 < 2**w for w = (size*(m-1)**2).bit_length() and never
         carries; it is read back by shift and mask and reduced mod m.
+        ``other`` keeps its packed rows, as w depends only on its shape.
         """
+        m = self.modulus
         if isinstance(other, int):
-            return ModMatrix(self.modulus,
-                             tuple(tuple(other * a for a in row) for row in self.entries))
+            return ModMatrix._canonical(m, tuple([tuple([other * a % m for a in row])
+                                                  for row in self.entries]))
         self._check(other)
-        w = (self.size * (self.modulus - 1) ** 2).bit_length()
+        w = (self.size * (m - 1) ** 2).bit_length()
         shifts = [w * j for j in range(self.size)]
-        packed = [sum([b << s for b, s in zip(row, shifts)]) for row in other.entries]
+        packed = other._packed
+        if packed is None:
+            packed = [sum([b << s for b, s in zip(row, shifts)]) for row in other.entries]
+            object.__setattr__(other, "_packed", packed)
         mask = (1 << w) - 1
-        return ModMatrix(self.modulus, [[(v >> s) & mask for s in shifts]
-                                        for v in [sum(map(mul, row, packed))
-                                                  for row in self.entries]])
+        return ModMatrix._canonical(m, tuple([tuple([((v >> s) & mask) % m for s in shifts])
+                                              for v in [sum(map(mul, row, packed))
+                                                        for row in self.entries]]))
 
     __rmul__ = __mul__
 
@@ -130,8 +158,11 @@ class ModMatrix:
         return self * self == self
 
     def reduce(self, modulus: int) -> "ModMatrix":
-        if self.modulus % modulus:
-            raise ValueError("can only reduce to a divisor of the modulus")
+        """The matrix mod a positive divisor of the modulus; InvalidInput
+        for any other modulus, as for ModMatrix(...) below 2."""
+        if modulus < 1 or self.modulus % modulus:
+            raise InvalidInput("can only reduce to a divisor of the modulus %d, got %d"
+                               % (self.modulus, modulus))
         return ModMatrix(modulus, self.entries)
 
     def det(self) -> int:

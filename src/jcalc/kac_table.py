@@ -22,6 +22,7 @@ and half-spin gives its first generator the exponent v_2(n).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
@@ -332,11 +333,19 @@ _NO_ROW: Row = ((), (), ())
 
 
 def _row(form: GroupForm, p: int) -> Row:
-    """The (d, k, rules) of the (form, p) row, _NO_ROW off the table."""
+    """The (d, k, rules) of the (form, p) row, _NO_ROW off the table;
+    the arguments are checked before the row cache sees them."""
     if not isinstance(form, GroupForm):
         raise UnsupportedForm("expected a GroupForm, got %r" % (form,))
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
+    return _built_row(form, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _built_row(form: GroupForm, p: int) -> Row:
+    """_row for a GroupForm and a prime, built once per pair: a table walk
+    asks for each row about six times."""
     s, rank = form.base.series, form.base.rank
     if s == "A":
         if form.mu % p != 0:

@@ -15,9 +15,11 @@ m-positive polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
 from .integers import factorize, is_prime, prime_power
 from .jinvariant import JInvariant, JLike, as_jinvariant
 from .kac_table import GroupForm, TorsionData, torsion_data
-from .polynomial import (Poly, _cancel_common, _from_exponents, cyclotomic,
+from .polynomial import (Poly, _cancel_common, _from_exponents, _mobius_divisors,
                          cyclotomic_degrees, cyclotomic_exponents, degree_ratio)
 from .root_data import UNKNOWN, ThetaLike, _split_vertices, flag_degrees, is_generically_split
 
@@ -249,8 +251,10 @@ def decompose(form: GroupForm, p: int, J: JLike, theta: ThetaLike = None,
 
 # Largest divisor sub-box or L * q candidate count an exhaustive search may cover.
 _SEARCH_BUDGET = 2 ** 22
-# Largest worst-case coefficient work, sum phi(n) * deg f, of factoring
-# f into cyclotomic polynomials; an E8 complete flag (degree 120) needs 1.8M.
+# Largest worst-case coefficient work, sum phi(n) * deg f, of factoring f
+# into cyclotomic polynomials by schoolbook trial division; an E8 complete
+# flag (degree 120) needs 1.8M.  Each trial runs Phi_n as a degree ratio,
+# 2^omega(n) strided passes over the coefficients, so this overstates it.
 _DIVISION_BUDGET = 2 ** 22
 
 Exponents = Tuple[int, ...]
@@ -281,7 +285,8 @@ def is_m_positive(g: Poly, m: int, summands: Iterable[Tuple[int, Poly]]) -> bool
     return _divides_nonnegatively(g, _summand_map(m, summands).values())
 
 
-def _totients(D: int) -> List[Tuple[int, int]]:
+@functools.lru_cache(maxsize=None)
+def _totients(D: int) -> Tuple[Tuple[int, int], ...]:
     """Every (n, phi(n)) with phi(n) <= D, n increasing.  phi is
     multiplicative and phi(q^k) >= q - 1, so each such n is a product of
     powers of primes q <= D + 1; no n is factorized."""
@@ -292,33 +297,57 @@ def _totients(D: int) -> List[Tuple[int, int]]:
             while t <= D:
                 pairs.append((n * qk, t))
                 qk, t = qk * q, t * q
-    return sorted(pairs)
+    return tuple(sorted(pairs))
+
+
+def _over_cyclotomic(f: List[int], n: int) -> Optional[List[int]]:
+    """The coefficients of f / Phi_n, or None when Phi_n does not divide f.
+
+    Phi_n is the degree ratio prod_{d | n} (1 - t^d)^{mu(n/d)}, negated
+    for n = 1.  f is multiplied by each 1 - t^d with mu = -1, then divided
+    by each 1 - t^d with mu = +1 as a strided prefix sum, q_i = f_i +
+    q_{i-d}, which is exact when its top d coefficients come out zero.
+    """
+    f = list(f)
+    for d, mu in _mobius_divisors(n):
+        if mu < 0:
+            f += [0] * d
+            f[d:] = map(sub, f[d:], f)
+    for d, mu in _mobius_divisors(n):
+        if mu > 0:
+            for r in range(d):
+                f[r::d] = itertools.accumulate(f[r::d])
+            if any(f[-d:]):
+                return None
+            del f[-d:]
+    return f if n > 1 else [-x for x in f]
 
 
 def _cyclotomic_factors(f: Poly, name: str) -> Tuple[int, Exponents]:
-    """(c, e) with the nonzero f = c * prod Phi_n^{e_n}, by exact division
-    by each Phi_n with phi(n) <= the remaining degree.  Before the first
-    division, the worst case of that trial division, sum phi(n) * D over
-    phi(n) <= D = deg f, is checked against _DIVISION_BUDGET.
-    NotDivisible names a cofactor that no Phi_n divides."""
+    """(c, e) with the nonzero f = c * prod Phi_n^{e_n}, by trial division
+    by each Phi_n with phi(n) <= the remaining degree, n increasing; each
+    trial runs Phi_n as a degree ratio (_over_cyclotomic).  Before the
+    first trial, the worst case of a schoolbook trial division, sum
+    phi(n) * D over phi(n) <= D = deg f, is checked against
+    _DIVISION_BUDGET.  NotDivisible names a cofactor that no Phi_n divides."""
     candidates = _totients(f.degree)
     work = f.degree * sum(t for _n, t in candidates)
     if work > _DIVISION_BUDGET:
         raise SearchBudgetExceeded("dividing %s by each Phi_n with phi(n) <= %d costs %d, "
                                    "over budget %d" % (name, f.degree, work, _DIVISION_BUDGET))
     e: List[int] = []
+    rest = list(f.coeffs)
     for n, t in candidates:
-        if t <= f.degree:
+        if t < len(rest):
             e += [0] * (n - len(e))
-            try:
-                while True:
-                    f = f.exact_div(cyclotomic(n))
-                    e[-1] += 1
-            except NotDivisible:
-                pass
-    if f.degree > 0:
-        raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (f, name))
-    return f[0], tuple(e)
+            quotient = _over_cyclotomic(rest, n)
+            while quotient is not None:
+                rest, e[-1] = quotient, e[-1] + 1
+                quotient = _over_cyclotomic(rest, n)
+    cofactor = Poly(rest)
+    if cofactor.degree > 0:
+        raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (cofactor, name))
+    return cofactor[0], tuple(e)
 
 
 def _factor_all(total: Poly, table: Dict[int, Poly]
@@ -469,12 +498,12 @@ def is_sum_indecomposable(f: Poly, m: int, summands: Iterable[Tuple[int, Poly]])
     budget: 8 instead of the box's 4,096 for the paper's
     1 + t + ... + t^11 at m = 6, where L has degree 9.  Each summand
     must be c_s * prod Phi_n^{need_n}; NotDivisible names any other
-    cofactor.
+    cofactor.  An f that is not m-positive is InvalidInput.
     """
     table = _summand_map(m, summands)
     polys = list(table.values())
     if not _divides_nonnegatively(f, polys):
-        raise ValueError("f is not m-positive, indecomposability is moot")
+        raise InvalidInput("f is not m-positive, indecomposability is moot")
     factors = [_cyclotomic_factors(poly, "the p = %d summand" % p) for p, poly in table.items()]
     return not _splits(f, _lcm(factors), polys)
 

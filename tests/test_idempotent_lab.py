@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,7 +122,91 @@ def test_product_fields_at_their_largest():
             assert (top * top).entries == ((size % modulus,) * size,) * size
 
 
+@st.composite
+def arithmetic_cases(draw):
+    modulus = draw(st.integers(2, 125))
+    size = draw(st.integers(1, 10))
+    rows = st.lists(st.lists(st.integers(0, modulus - 1), min_size=size, max_size=size),
+                    min_size=size, max_size=size)
+    return (ModMatrix(modulus, draw(rows)), ModMatrix(modulus, draw(rows)),
+            draw(st.integers(-2 * modulus, 2 * modulus)))
+
+
+def _same_value(got, want):
+    """Equal, with the tuple-of-tuples entries the validating constructor makes."""
+    return (got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            and type(got.entries) is tuple and all(type(row) is tuple for row in got.entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arithmetic_cases())
+def test_arithmetic_matches_the_validating_constructor(case):
+    # results built unchecked (ModMatrix._canonical) against the same
+    # integers reduced by ModMatrix(...); products run twice, so the
+    # second reads the right operand's kept packed rows
+    a, b, c = case
+    m, rows_a, rows_b = a.modulus, a.entries, b.entries
+    expected = {
+        "a + b": ModMatrix(m, [[x + y for x, y in zip(r, q)] for r, q in zip(rows_a, rows_b)]),
+        "a - b": ModMatrix(m, [[x - y for x, y in zip(r, q)] for r, q in zip(rows_a, rows_b)]),
+        "-a": ModMatrix(m, [[-x for x in r] for r in rows_a]),
+        "c * a": ModMatrix(m, [[c * x for x in r] for r in rows_a]),
+        "a * b": triple_loop_product(a, b),
+        "b * a": triple_loop_product(b, a),
+    }
+    for _ in range(2):
+        results = {"a + b": a + b, "a - b": a - b, "-a": -a, "c * a": c * a,
+                   "a * b": a * b, "b * a": b * a}
+        assert _same_value(a * c, expected["c * a"])
+        for name, got in results.items():
+            assert _same_value(got, expected[name]), name
+
+
+def _constructor_callers(monkeypatch):
+    """Names of the functions that call ModMatrix(...) from now on."""
+    callers = []
+    validate = ModMatrix.__post_init__
+
+    def recording(self):
+        callers.append(sys._getframe(2).f_code.co_name)   # past the dataclass __init__
+        validate(self)
+
+    monkeypatch.setattr(ModMatrix, "__post_init__", recording)
+    return callers
+
+
+ARITHMETIC = {"__add__", "__sub__", "__neg__", "__mul__"}
+
+
+def test_lifts_validate_no_arithmetic_result(monkeypatch):
+    rng = random.Random(5)
+    family = random_idempotent_family(rng, 27, 8, 3)
+    instance = random_isomorphism_instance(rng, 25, 6)
+    callers = _constructor_callers(monkeypatch)
+    lift_orthogonal_family(family)
+    lift_isomorphism(*instance)
+    # only the public constructors the lifts call for reductions,
+    # identities and zeros validate; every product and sum is built unchecked
+    assert callers and set(callers) <= {"reduce", "identity", "zero"}
+    assert not set(callers) & ARITHMETIC
+
+
+def test_packed_rows_are_not_part_of_the_value():
+    a, b = ModMatrix(7, ((1, 2), (3, 4))), ModMatrix(7, ((1, 2), (3, 4)))
+    assert b * a == a * a    # a is now a right operand and keeps its packed rows
+    assert a._packed is not None and b._packed is None
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "ModMatrix(modulus=7, entries=((1, 2), (3, 4)))"
+
+
 class TestModMatrix:
+    def test_reduce_to_a_non_divisor_is_invalid_input(self):
+        a = ModMatrix(12, ((5, 7), (11, 1)))
+        assert a.reduce(4) == ModMatrix(4, ((1, 3), (3, 1)))
+        for modulus in (5, 24, 0, -3, 1):     # modulus 1 divides 12, but is below 2
+            with pytest.raises(InvalidInput):
+                a.reduce(modulus)
+
     def test_canonical_entries(self):
         m = ModMatrix(4, ((5, -1), (8, 3)))
         assert m.entries == ((1, 3), (0, 3))
@@ -129,7 +214,7 @@ class TestModMatrix:
     def test_mismatched_operands_are_invalid_input(self):
         a = ModMatrix.identity(4, 2)
         for other in (ModMatrix.identity(4, 1), ModMatrix.identity(8, 2)):
-            for op in (a.__mul__, a.__add__):
+            for op in (a.__mul__, a.__add__, a.__sub__):
                 with pytest.raises(InvalidInput, match="mismatch: size 2 mod 4 against"):
                     op(other)
 

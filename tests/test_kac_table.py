@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from jcalc.errors import (InternalInconsistency, InvalidInput, SearchBudgetExceeded,
                           UnsupportedForm)
-from jcalc.integers import padic_valuation
+from jcalc import kac_table
+from jcalc.integers import factorize, padic_valuation
 from jcalc.kac_table import (
     _FORM_SUFFIXES,
     _chain_rules,
@@ -192,6 +193,31 @@ class TestDump:
     def test_dump_contains_e8_row(self):
         rows = [r for r in expand_table(4) if r["form"] == "E8" and r["p"] == 5]
         assert rows == [{"form": "E8", "p": 5, "r": 1, "d": [6], "k": [1], "rules": []}]
+
+
+def test_rows_are_built_once_per_form_and_prime():
+    kac_table._built_row.cache_clear()
+    rows = {(form, p): (torsion_data(form, p), constraint_rules(form, p))
+            for form, p in table_rows(12)}
+    info = kac_table._built_row.cache_info()
+    # torsion_primes asks once for each prime of 30 * mu; every later ask hits
+    forms = itertools.chain(kac_table.classical_forms(12), kac_table.exceptional_forms())
+    assert info.misses == sum(len(factorize(30 * form.mu)) for form in forms)
+    assert info.hits >= 2 * len(rows)
+    for (form, p), (data, rules) in rows.items():
+        d, k, uncached = kac_table._built_row.__wrapped__(form, p)
+        assert (data.d, data.k, rules) == (d, k, uncached)
+
+
+def test_row_checks_come_before_the_cache():
+    # an unhashable argument never reaches the lru_cache's key
+    for form in (["E8"], {"E8": 2}):
+        with pytest.raises(UnsupportedForm):
+            torsion_data(form, 2)
+        with pytest.raises(UnsupportedForm):
+            torsion_primes(form)
+    with pytest.raises(ValueError, match="is not prime"):
+        constraint_rules(parse_form("E8"), 6)
 
 
 def test_torsion_data_rejects_bad_inputs():

@@ -396,6 +396,12 @@ class TestIntegralDecomposition:
             is_sum_indecomposable(Poly.geometric(1, 11), 1, [])
         assert str(exc.value) == "coefficient box of 2048 exceeds budget 1024"
 
+    def test_f_that_is_not_m_positive_is_invalid_input(self):
+        # 1 + t is not divisible by 1 + t^3, so no decomposition question arises
+        with pytest.raises(InvalidInput) as exc:
+            is_sum_indecomposable(Poly([1, 1]), 2, SUMMANDS)
+        assert str(exc.value) == "f is not m-positive, indecomposability is moot"
+
     def test_non_cyclotomic_total_names_its_cofactor(self):
         # (1 + t)(1 + 2t): Phi_2 comes out, 1 + 2t is no product of Phi_n
         with pytest.raises(NotDivisible) as exc:
@@ -459,13 +465,72 @@ def test_cyclotomic_factors_of_the_largest_flag_fit_the_budget():
         1, cyclotomic_exponents(*degrees))
 
 
+def old_cyclotomic_factors(f, name):
+    """_cyclotomic_factors as it was before each Phi_n ran as a degree
+    ratio: every trial is Poly.exact_div by cyclotomic(n)."""
+    candidates = motive._totients(f.degree)
+    work = f.degree * sum(t for _n, t in candidates)
+    if work > motive._DIVISION_BUDGET:
+        raise SearchBudgetExceeded("dividing %s by each Phi_n with phi(n) <= %d costs %d, "
+                                   "over budget %d"
+                                   % (name, f.degree, work, motive._DIVISION_BUDGET))
+    e = []
+    for n, t in candidates:
+        if t <= f.degree:
+            e += [0] * (n - len(e))
+            try:
+                while True:
+                    f = f.exact_div(cyclotomic(n))
+                    e[-1] += 1
+            except NotDivisible:
+                pass
+    if f.degree > 0:
+        raise NotDivisible("no Phi_n divides the cofactor %s of %s" % (f, name))
+    return f[0], tuple(e)
+
+
+def _factor_outcome(factor, f):
+    try:
+        return factor(f, "the total")
+    except (NotDivisible, SearchBudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@example({1: 1}, -1, [])
+@example({1: 2, 2: 1, 60: 1}, 6, [])
+@example({}, 5, [(3, 1)])
+@example({6: 1}, 1, [(1, 1)])
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 3), max_size=4),
+       st.integers(-6, 6).filter(bool),
+       st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2).filter(bool)), max_size=2))
+def test_degree_ratio_division_matches_exact_div(exponents, content, perturbation):
+    # +-c * prod Phi_n^{e_n}, Phi_1 included; a perturbation adds a few
+    # coefficients, which leaves a cofactor that NotDivisible must name
+    coeffs = list((Poly([content]) * math.prod(
+        (cyclotomic(n) ** k for n, k in exponents.items()), start=Poly.one())).coeffs)
+    for i, delta in perturbation:
+        coeffs += [0] * (i + 1 - len(coeffs))
+        coeffs[i] += delta
+    f = Poly(coeffs)
+    assert (_factor_outcome(motive._cyclotomic_factors, f)
+            == _factor_outcome(old_cyclotomic_factors, f))
+
+
+def test_degree_ratio_division_matches_exact_div_on_flags():
+    e8 = DynkinType("E", 8)
+    for theta in ((), (1,), (2,), (1, 8), (3, 4, 5), (2, 3, 4, 5, 6, 7, 8)):
+        f = poincare_homogeneous(e8, theta)
+        assert motive._cyclotomic_factors(f, "E8") == old_cyclotomic_factors(f, "E8")
+
+
 @pytest.mark.parametrize("D", [-1, 0, 1, 2, 6, 7, 30, 61])
 def test_totients_are_every_n_with_small_phi(D):
     def phi(n):
         return math.prod((q - 1) * q ** (k - 1) for q, k in factorize(n))
     # phi(n) >= sqrt(n) for n > 6 bounds the brute-force search
     brute = [(n, phi(n)) for n in range(1, max(6, D * D) + 1) if phi(n) <= D]
-    assert motive._totients(D) == brute
+    assert motive._totients(D) == tuple(brute)
 
 
 def _divisors_by_sympy(total):
