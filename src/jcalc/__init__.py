@@ -21,9 +21,10 @@ _HOMES = {
         "NotDivisible NotGenericallySplit ParseError SearchBudgetExceeded UnsupportedForm"),
     "idempotent_lab": (
         "CrtSplitting ModMatrix crt_split lift_idempotent lift_isomorphism "
-        "lift_orthogonal_family mod_inverse random_idempotent_family "
+        "lift_orthogonal_family random_idempotent_family "
         "random_isomorphism_instance random_unimodular sl_lift"),
-    "jinvariant": "JInvariant apply_steenrod_rule enumerate_admissible is_admissible",
+    "integers": "lucas_binom",
+    "jinvariant": "JInvariant enumerate_admissible is_admissible",
     "kac_table": (
         "ConstraintRule GroupForm TorsionData constraint_rules expand_table parse_form "
         "table_rows torsion_data torsion_primes"),
@@ -35,14 +36,14 @@ _HOMES = {
     "root_data": (
         "UNKNOWN DynkinType is_generically_split poincare_complete_flag "
         "poincare_homogeneous poincare_weyl_subgroup "
-        "theta_components weyl_degrees weyl_order"),
+        "theta_components weyl_degrees"),
     "sweep": (
         "SweepReport admissible_census consistent_split_thetas consistent_split_vertices "
         "run_divisibility_sweep"),
-    "truncated_ring": "RingElement deglex_key j_from_generators lucas_binom subring_closure",
+    "truncated_ring": "RingElement deglex_key j_from_generators subring_closure",
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names.split()}
-_SUBMODULES = frozenset(_HOMES) | {"cli", "integers"}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
 
 __all__ = sorted(_EXPORTS)
 

@@ -254,10 +254,6 @@ def lift_idempotent(a: ModMatrix) -> ModMatrix:
     return e
 
 
-def _corner(u: ModMatrix, x: ModMatrix) -> ModMatrix:
-    return u * x * u
-
-
 def _family_defect(members: Sequence[ModMatrix]) -> Optional[str]:
     """The first way members fail to be a complete orthogonal idempotent
     family: a sum other than the identity, a member that is not
@@ -279,10 +275,10 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
     """Lift a complete orthogonal idempotent family mod p to Z/p^n.
 
     The inputs must reduce mod p to pairwise orthogonal idempotents
-    summing to the identity.  The first is lifted exactly, the rest are
-    conjugated into the complementary corner (1-e)A(1-e) and handled
-    recursively; the last output is whatever identity remains, which
-    makes the sum exactly the identity.
+    summing to the identity.  Each member but the last is cut down to the
+    corner uAu of the unit u that the earlier lifts leave (u = 1 minus
+    their sum) and lifted exactly there; the last output is whatever
+    unit remains, which makes the sum exactly the identity.
     """
     if not family:
         raise NotAFamily("empty family")
@@ -296,18 +292,13 @@ def lift_orthogonal_family(family: Sequence[ModMatrix]) -> List[ModMatrix]:
     if defect:
         raise NotAFamily(defect)
 
-    ident = ModMatrix.identity(mod, size)
-
-    def rec(members: List[ModMatrix], unit: ModMatrix) -> List[ModMatrix]:
-        # unit is the idempotent unit of the current corner ring.
-        if len(members) == 1:
-            return [unit]
-        e = _idempotent_iteration(_corner(unit, members[0]), n)
-        rest_unit = unit - e
-        rest = [_corner(rest_unit, x) for x in members[1:]]
-        return [e] + rec(rest, rest_unit)
-
-    lifted = rec(list(family), ident)
+    unit = ModMatrix.identity(mod, size)
+    lifted = []
+    for x in family[:-1]:
+        e = _idempotent_iteration(unit * x * unit, n)
+        lifted.append(e)
+        unit = unit - e
+    lifted.append(unit)
     # verify the advertised exact identities before returning
     defect = _family_defect(lifted)
     if defect:
@@ -355,13 +346,11 @@ def lift_isomorphism(phi1: ModMatrix, phi2: ModMatrix,
     alpha = theta12 * pre21 - phi2
     if alpha.reduce(p) != ModMatrix.zero(p, size):
         raise HypothesisViolated("alpha does not vanish mod %d" % p)
-    alpha_star = phi2
-    power = phi2
-    sign = -1
+    alpha_star = power = phi2
+    minus_alpha = -alpha
     for _ in range(1, n_exp):
-        power = power * alpha
-        alpha_star = alpha_star + sign * power
-        sign = -sign
+        power = power * minus_alpha
+        alpha_star = alpha_star + power
     theta21 = pre21 * alpha_star
 
     if theta12 * theta21 != phi2 or theta21 * theta12 != phi1:
@@ -518,36 +507,40 @@ def sl_lift(matrix: ModMatrix) -> IntMatrix:
     return out
 
 
-def mod_inverse(matrix: ModMatrix) -> ModMatrix:
-    """Inverse over Z/m.  Scaling the first row by det^-1 (the matrix S)
-    gives S M determinant 1; its transvection word T_s ... T_1 is
-    (S M)^-1, so replaying the word on S gives M^-1."""
-    m, det = matrix.modulus, matrix.det()
-    if math.gcd(det, m) != 1:
-        raise HypothesisViolated("matrix is not invertible mod %d" % m)
-    rows = [[pow(det, -1, m) if i == j == 0 else int(i == j) for j in range(matrix.size)]
-            for i in range(matrix.size)]
-    for i, j, a in _transvection_word(ModMatrix(m, rows) * matrix):
-        rows[i] = [x + a * y for x, y in zip(rows[i], rows[j])]
-    return ModMatrix(m, rows)
-
-
 # ---------------------------------------------------------------------------
 # Instance generators for demos and randomized verification
 # ---------------------------------------------------------------------------
 
-def random_unimodular(rng, modulus: int, size: int) -> ModMatrix:
-    """Random product of 3 * size transvections; determinant 1 by construction."""
+def _unimodular_pair(rng, modulus: int, size: int) -> Tuple[ModMatrix, ModMatrix]:
+    """(U, U^-1) for U a random product of 3 * size transvections.
+
+    Each row step row_i += a row_j on U multiplies it on the left by
+    I + a E_ij, so U^-1 takes the column step col_j -= a col_i.
+    """
     _require_modulus(modulus)
     _require_size(size)
-    rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    u = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    u_inv = [row[:] for row in u]
     for _ in range(3 * size):
         i, j = rng.randrange(size), rng.randrange(size)
         if i == j:
             continue
         a = rng.randrange(modulus)
-        rows[i] = [(x + a * y) % modulus for x, y in zip(rows[i], rows[j])]
-    return ModMatrix(modulus, tuple(tuple(r) for r in rows))
+        u[i] = [(x + a * y) % modulus for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] = (row[j] - a * row[i]) % modulus
+    return ModMatrix(modulus, u), ModMatrix(modulus, u_inv)
+
+
+def random_unimodular(rng, modulus: int, size: int) -> ModMatrix:
+    """Random product of 3 * size transvections; determinant 1 by construction."""
+    return _unimodular_pair(rng, modulus, size)[0]
+
+
+def _noise(rng, p: int, modulus: int, size: int) -> ModMatrix:
+    """A random matrix in p M_l(Z/p^n): it vanishes mod p."""
+    return ModMatrix(modulus, tuple(tuple(p * rng.randrange(modulus) for _ in range(size))
+                                    for _ in range(size)))
 
 
 def _part_diagonal(modulus: int, size: int, start: int, stop: int) -> ModMatrix:
@@ -565,11 +558,8 @@ def random_idempotent_family(rng, modulus: int, size: int, parts: int) -> List[M
     p, _n = _require_prime_power(modulus)
     cuts = sorted(rng.sample(range(1, size), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [size]
-    u = random_unimodular(rng, modulus, size)
-    u_inv = mod_inverse(u)
-    return [u * _part_diagonal(modulus, size, a, b) * u_inv
-            + ModMatrix(modulus, tuple(tuple(p * rng.randrange(modulus) for _ in range(size))
-                                       for _ in range(size)))
+    u, u_inv = _unimodular_pair(rng, modulus, size)
+    return [u * _part_diagonal(modulus, size, a, b) * u_inv + _noise(rng, p, modulus, size)
             for a, b in zip(bounds, bounds[1:])]
 
 
@@ -586,12 +576,7 @@ def random_isomorphism_instance(rng, modulus: int, size: int):
     _require_size(size)
     rank = rng.randrange(1, size)
     diag = _part_diagonal(modulus, size, 0, rank)
-    g, h = random_unimodular(rng, modulus, size), random_unimodular(rng, modulus, size)
-    g_inv, h_inv = mod_inverse(g), mod_inverse(h)
-    phi1 = g * diag * g_inv
-    phi2 = h * diag * h_inv
-    psi12 = h * diag * g_inv
-    psi21 = g * diag * h_inv
-    noise = ModMatrix(modulus, tuple(
-        tuple(p * rng.randrange(modulus) for _ in range(size)) for _ in range(size)))
-    return phi1, phi2, psi12 + noise, psi21
+    g, g_inv = _unimodular_pair(rng, modulus, size)
+    h, h_inv = _unimodular_pair(rng, modulus, size)
+    return (g * diag * g_inv, h * diag * h_inv,
+            h * diag * g_inv + _noise(rng, p, modulus, size), g * diag * h_inv)

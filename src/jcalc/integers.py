@@ -1,13 +1,15 @@
 """Integer primitives shared by the table, the motive and the matrix code.
 
 Trial-division factorization, primality, prime-power detection, the
-Mobius function, p-adic valuation and the fraction-free (Bareiss) determinant over Z.  Inputs
-are desk-scale, so trial division, under a budget, is enough; nothing
-here imports a dependency or does work at import time.
+Mobius function, p-adic valuation, Lucas binomials mod p and the
+fraction-free (Bareiss) determinant over Z.  Inputs are desk-scale, so
+trial division, under a budget, is enough; nothing here imports a
+dependency or does work at import time.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import SearchBudgetExceeded
@@ -67,6 +69,29 @@ def padic_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def lucas_binom(n: int, m: int, p: int) -> int:
+    """C(n, m) mod p via base-p digits.
+
+    The binomial is the digit-wise product of C(n_i, m_i) over the base-p
+    presentations of n and m; any digit with m_i > n_i kills the product.
+
+    >>> lucas_binom(10, 4, 3)
+    0
+    >>> lucas_binom(7, 3, 2)
+    1
+    """
+    if n < 0 or m < 0:
+        raise ValueError("nonnegative arguments required")
+    if m > n:
+        return 0
+    result = 1
+    while m:
+        result = result * math.comb(n % p, m % p) % p
+        n //= p
+        m //= p
+    return result % p
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import ContextMismatch, IndexOutOfRange, SearchBudgetExceeded
+from .integers import lucas_binom
 from .kac_table import ConstraintRule, GroupForm, TorsionData, constraint_rules, torsion_data
-from .truncated_ring import lucas_binom
 
 
 @dataclass(frozen=True)
@@ -121,22 +121,3 @@ def enumerate_admissible(form: GroupForm, p: int) -> List[JInvariant]:
         if all(rule_holds(rule, j, p) for rule in rules):
             out.append(JInvariant(data, j))
     return out
-
-
-def apply_steenrod_rule(i: int, s: int, m: int,
-                        context: Union[TorsionData, JInvariant]) -> ConstraintRule:
-    """Derived bound j_m <= j_i + s from a Steenrod power datum.
-
-    The caller asserts that some power operation sends x_i to x_m^{p^s}
-    while sending every earlier generator strictly below it in DegLex;
-    under that hypothesis the bound holds for every realizable value.
-    The returned rule is additive to the table rules, never a
-    replacement, and checking it is pure arithmetic.
-    """
-    data = context.data if isinstance(context, JInvariant) else context
-    for name, idx in (("i", i), ("m", m)):
-        if not 1 <= idx <= data.r:
-            raise IndexOutOfRange("index %s = %d outside 1..%d" % (name, idx, data.r))
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return ConstraintRule("le", m, i, s)

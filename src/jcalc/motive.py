@@ -263,7 +263,11 @@ Exponents = Tuple[int, ...]
 def _summand_map(m: int, summands: Iterable[Tuple[int, Poly]]) -> Dict[int, Poly]:
     if m < 1:
         raise InvalidInput("m must be positive, got %d" % m)
-    table = {p: poly for p, poly in summands}
+    table = {}
+    for p, poly in summands:
+        if p in table:
+            raise InvalidInput("the prime %d has more than one summand polynomial" % p)
+        table[p] = poly
     primes = [p for p, _e in factorize(m)]
     missing = [p for p in primes if p not in table]
     if missing:

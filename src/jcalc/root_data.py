@@ -102,10 +102,6 @@ def weyl_degrees(t: DynkinType) -> Tuple[int, ...]:
     return _EXCEPTIONAL_DEGREES[(t.series, n)]
 
 
-def weyl_order(t: DynkinType) -> int:
-    return math.prod(weyl_degrees(t))
-
-
 def poincare_complete_flag(t: DynkinType) -> Poly:
     """Poincare polynomial of the complete flag variety of the given type.
 

@@ -89,13 +89,21 @@ def consistent_split_vertices(form: GroupForm, p: int,
     return _split_vertices(form.base, p ** j[0] if coupled else 1, p)
 
 
+def _require_mask_budget(rank: int, count: int) -> None:
+    if count > _SEARCH_BUDGET:
+        raise SearchBudgetExceeded("a sweep to rank %d enumerates %d parabolic masks per "
+                                   "Dynkin type, over budget %d" % (rank, count, _SEARCH_BUDGET))
+
+
 def consistent_split_thetas(form: GroupForm, p: int,
                             J: JInvariant) -> Iterator[frozenset]:
     """All theta paired with this value in the divisibility sweep.
 
     The Borel (empty theta) always qualifies; any other theta must leave
-    a consistent certificate vertex uncovered.
+    a consistent certificate vertex uncovered.  The 2^rank subsets are
+    checked against the search budget before the first is yielded.
     """
+    _require_mask_budget(form.base.rank, 1 << form.base.rank)
     vertices = list(form.base.vertices)
     good = consistent_split_vertices(form, p, J.j)
     for bits in itertools.product((False, True), repeat=len(vertices)):
@@ -168,11 +176,7 @@ def run_divisibility_sweep(max_rank: int = 8) -> SweepReport:
     up to rank 8; SearchBudgetExceeded is raised before the first row when
     that count exceeds the search budget.
     """
-    count = 1 << max(max_rank, 8)
-    if count > _SEARCH_BUDGET:
-        raise SearchBudgetExceeded("a sweep to rank %d enumerates %d parabolic masks per "
-                                   "Dynkin type, over budget %d"
-                                   % (max_rank, count, _SEARCH_BUDGET))
+    _require_mask_budget(max_rank, 1 << max(max_rank, 8))
     report = SweepReport()
     groups: Dict[DynkinType, list] = {}
     passing: Dict[Tuple[DynkinType, int], List[List[int]]] = {}

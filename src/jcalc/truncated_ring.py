@@ -26,14 +26,13 @@ True
 [False, True]
 
 Keys are decoded to exponent tuples only for terms, leads and text.  The
-module also provides Lucas binomials mod p, the subring closure that reads
-J-invariants off generating cycles, and a small text format for elements.
+module also provides the subring closure that reads J-invariants off
+generating cycles, and a small text format for elements.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,33 +40,6 @@ from .errors import ContextMismatch, ParseError, SearchBudgetExceeded
 from .kac_table import TorsionData
 
 Monomial = Tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Binomial coefficients mod p
-# ---------------------------------------------------------------------------
-
-def lucas_binom(n: int, m: int, p: int) -> int:
-    """C(n, m) mod p via base-p digits.
-
-    The binomial is the digit-wise product of C(n_i, m_i) over the base-p
-    presentations of n and m; any digit with m_i > n_i kills the product.
-
-    >>> lucas_binom(10, 4, 3)
-    0
-    >>> lucas_binom(7, 3, 2)
-    1
-    """
-    if n < 0 or m < 0:
-        raise ValueError("nonnegative arguments required")
-    if m > n:
-        return 0
-    result = 1
-    while m:
-        result = result * math.comb(n % p, m % p) % p
-        n //= p
-        m //= p
-    return result % p
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from jcalc.idempotent_lab import (
     random_isomorphism_instance,
     sl_lift,
 )
+from jcalc.integers import lucas_binom
 from jcalc.jinvariant import enumerate_admissible
 from jcalc.kac_table import (
     _so_row,
@@ -37,12 +38,7 @@ from jcalc.motive import (
 from jcalc.polynomial import Poly
 from jcalc.root_data import DynkinType, poincare_homogeneous
 from jcalc.sweep import run_divisibility_sweep
-from jcalc.truncated_ring import (
-    RingElement,
-    deglex_key,
-    j_from_generators,
-    lucas_binom,
-)
+from jcalc.truncated_ring import RingElement, deglex_key, j_from_generators
 
 
 def _all_monomials(data):

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -92,6 +93,13 @@ class TestExitCodes:
                                    "--m", m, "--summand", "2:1", "--json")
             assert (status, out) == (1, "")
             assert err.startswith("error:")
+
+    def test_integral_rejects_a_repeated_summand_prime(self, capsys):
+        for mode in ([], ["--json"]):
+            status, out, err = run(capsys, "motive", "integral", "--total", "1,1", "--m", "4",
+                                   "--summand", "2:1,1", "--summand", "2:1", *mode)
+            assert (status, out) == (1, "")
+            assert err == "error: the prime 2 has more than one summand polynomial\n"
 
     def test_integral_rejects_non_cyclotomic_total(self, capsys):
         status, out, err = run(capsys, "motive", "integral", "--total", "1,3,2",
@@ -510,6 +518,25 @@ def test_argv_fuzz_keeps_the_cli_contract(argv):
 
 def test_parser_builds():
     assert build_parser().prog == "jcalc"
+
+
+def readme_commands():
+    """The argv of each `jcalc ...` line in the README's "Command line"
+    block, with backslash continuations joined and comments dropped."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("jcalc ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 16
+    for argv in commands:
+        for mode in ([], ["--json"]):
+            status, _out, err = run(capsys, *argv, *mode)
+            assert status == 0, (argv, mode, err)
 
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"

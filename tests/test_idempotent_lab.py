@@ -16,11 +16,12 @@ from jcalc.errors import (
 )
 from jcalc.idempotent_lab import (
     ModMatrix,
+    _idempotent_iteration,
+    _unimodular_pair,
     crt_split,
     lift_idempotent,
     lift_isomorphism,
     lift_orthogonal_family,
-    mod_inverse,
     random_idempotent_family,
     random_isomorphism_instance,
     random_unimodular,
@@ -38,34 +39,32 @@ def all_idempotents(modulus, size):
             yield m
 
 
-def old_prime_power_inverse(matrix):
-    """Gauss-Jordan over Z/p^e, where units are exactly non-residues of p."""
-    n, mod = matrix.size, matrix.modulus
-    p = prime_power(mod)[0]
-    work = [list(row) + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(matrix.entries)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] % p), None)
-        if pivot is None:
-            raise HypothesisViolated("matrix is not invertible mod %d" % mod)
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = pow(work[c][c], -1, mod)
-        work[c] = [(x * inv) % mod for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c]:
-                coef = work[r][c]
-                work[r] = [(x - coef * y) % mod for x, y in zip(work[r], work[c])]
-    return ModMatrix(mod, tuple(tuple(row[n:]) for row in work))
+def old_random_unimodular(rng, modulus, size):
+    """U alone, by row steps: the draws random_unimodular made before it
+    built U^-1 alongside U."""
+    rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(3 * size):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if i == j:
+            continue
+        a = rng.randrange(modulus)
+        rows[i] = [(x + a * y) % modulus for x, y in zip(rows[i], rows[j])]
+    return ModMatrix(modulus, rows)
 
 
-def old_mod_inverse(matrix):
-    """The inverse through the prime-power factors and CRT transport that
-    the one transvection elimination replaced."""
-    if prime_power(matrix.modulus) is not None:
-        return old_prime_power_inverse(matrix)
-    splitting = crt_split(matrix.modulus)
-    return splitting.combine([old_prime_power_inverse(part)
-                              for part in splitting.split(matrix)])
+def recursive_family_lift(family):
+    """The family lift as a recursion that re-corners every remaining
+    member at each level, which the one-pass loop replaced."""
+    n = prime_power(family[0].modulus)[1]
+
+    def rec(members, unit):
+        if len(members) == 1:
+            return [unit]
+        e = _idempotent_iteration(unit * members[0] * unit, n)
+        rest_unit = unit - e
+        return [e] + rec([rest_unit * x * rest_unit for x in members[1:]], rest_unit)
+
+    return rec(list(family), ModMatrix.identity(family[0].modulus, family[0].size))
 
 
 def triple_loop_product(a, b):
@@ -233,30 +232,17 @@ class TestModMatrix:
         with pytest.raises(ParseError):
             ModMatrix.parse("mod 6 size 3\n1,2;3,4")
 
-    def test_mod_inverse(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            u = random_unimodular(rng, 12, 3)
-            assert u * mod_inverse(u) == ModMatrix.identity(12, 3)
-
     @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9, 25, 27, 6, 10, 12, 30, 36, 60, 210])
-    def test_mod_inverse_matches_prime_power_gauss_jordan(self, modulus):
-        rng = random.Random(modulus)
-        singular = 0
-        for trial in range(150):
-            size = trial % 5
-            mat = ModMatrix(modulus, tuple(tuple(rng.randrange(modulus) for _ in range(size))
-                                           for _ in range(size)))
-            try:
-                expected = old_mod_inverse(mat)
-            except HypothesisViolated:
-                singular += 1
-                with pytest.raises(HypothesisViolated):
-                    mod_inverse(mat)
-                continue
-            assert mod_inverse(mat) == expected
-            assert mat * expected == ModMatrix.identity(modulus, size)
-        assert singular > 0
+    def test_unimodular_pair(self, modulus):
+        for seed in range(30):
+            size = seed % 6
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            u, u_inv = _unimodular_pair(rng, modulus, size)
+            assert u == old_random_unimodular(oracle_rng, modulus, size)
+            assert rng.getstate() == oracle_rng.getstate()
+            assert u == random_unimodular(random.Random(seed), modulus, size)
+            ident = ModMatrix.identity(modulus, size)
+            assert u * u_inv == ident and u_inv * u == ident
 
 
 class TestLiftIdempotent:
@@ -312,6 +298,14 @@ class TestLiftFamily:
             for i, e in enumerate(lifted):
                 assert e.is_idempotent
                 assert e.reduce(2) == fam[i].reduce(2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 8), st.data())
+    def test_matches_the_recursive_lift(self, p, n, size, data):
+        parts = data.draw(st.integers(1, size))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        family = random_idempotent_family(rng, p ** n, size, parts)
+        assert lift_orthogonal_family(family) == recursive_family_lift(family)
 
     def test_rejects_non_family(self):
         fam = [ModMatrix(4, ((1, 0), (0, 0))), ModMatrix(4, ((1, 0), (0, 1)))]

@@ -4,10 +4,9 @@ import math
 import pytest
 
 from jcalc import jinvariant
-from jcalc.errors import ContextMismatch, IndexOutOfRange, SearchBudgetExceeded
+from jcalc.errors import ContextMismatch, SearchBudgetExceeded
 from jcalc.jinvariant import (
     JInvariant,
-    apply_steenrod_rule,
     enumerate_admissible,
     is_admissible,
     rule_holds,
@@ -129,33 +128,6 @@ class TestEnumeration:
                     nxt = [s for s in steps if s in values]
                     assert nxt, "no admissible step down from %s" % (a,)
                     a = nxt[0]
-
-
-class TestSteenrodRule:
-    def test_tautology(self):
-        data = torsion_data(parse_form("E8"), 2)
-        rule = apply_steenrod_rule(1, 0, 1, data)
-        for j in itertools.product(*[range(k + 1) for k in data.k]):
-            assert rule_holds(rule, j, 2)
-
-    def test_e8_shape(self):
-        data = torsion_data(parse_form("E8"), 2)
-        rule = apply_steenrod_rule(2, 1, 1, data)  # j_1 <= j_2 + 1
-        assert rule.kind == "le" and (rule.i, rule.j, rule.offset) == (1, 2, 1)
-        assert str(rule) == "j1 <= j2 + 1"
-        assert rule in set(constraint_rules(parse_form("E8"), 2))
-
-    def test_index_validation(self):
-        data = torsion_data(parse_form("E8"), 5)
-        with pytest.raises(IndexOutOfRange):
-            apply_steenrod_rule(2, 1, 1, data)
-        with pytest.raises(IndexOutOfRange):
-            apply_steenrod_rule(1, 1, 0, data)
-
-    def test_accepts_jinvariant_context(self):
-        value = J("E8", 2, (1, 1, 1, 0))
-        rule = apply_steenrod_rule(3, 1, 2, value)
-        assert rule_holds(rule, value.j, 2)
 
 
 class TestJson:

@@ -38,7 +38,6 @@ from jcalc.root_data import (
     poincare_complete_flag,
     poincare_homogeneous,
     weyl_degrees,
-    weyl_order,
 )
 
 S2 = Poly([1, 0, 0, 1])                    # 1 + t^3
@@ -302,7 +301,7 @@ class TestNumericShadows:
 
     def test_rational_cycle_counts_extremes(self):
         data = torsion_data(parse_form("E8"), 5)
-        flag_rank = weyl_order(DynkinType("E", 8))
+        flag_rank = math.prod(weyl_degrees(DynkinType("E", 8)))
         at_max = rational_cycle_counts(data, (1,), flag_rank)
         assert at_max["rank_A_rat"] == at_max["rk_R"]
         at_zero = rational_cycle_counts(data, (0,), flag_rank)
@@ -333,6 +332,15 @@ class TestMPositive:
             with pytest.raises(ValueError):
                 integral_decomposition(Poly([1, 1]), m, [(2, Poly.one())])
         assert is_m_positive(Poly([1, 1]), 1, [])
+
+    def test_a_repeated_prime_is_invalid_input(self):
+        summands = [(2, S2), (3, S3), (2, Poly.one())]
+        calls = [lambda: is_m_positive(Poly.geometric(1, 12), 6, summands),
+                 lambda: integral_decomposition(S2 * S3, 6, summands),
+                 lambda: is_sum_indecomposable(Poly.geometric(1, 12), 6, summands)]
+        for call in calls:
+            with pytest.raises(InvalidInput, match="^the prime 2 has more than one summand"):
+                call()
 
     def test_zero_summand_divides_nothing(self):
         assert not is_m_positive(Poly.one(), 2, [(2, Poly.zero())])

@@ -24,3 +24,13 @@ def test_script_exits_zero(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and not proc.stderr
+
+
+def test_src_lines_sums_to_the_line_count():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "src_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    total, code, docstring, comment, blank = map(int, proc.stdout.splitlines()[-1].split()[1:])
+    files = sorted((SRC / "jcalc").glob("*.py"))
+    assert total == sum(len(path.read_text().splitlines()) for path in files)
+    assert total == code + docstring + comment + blank

@@ -183,6 +183,15 @@ def test_flag_poincare_loads_only_root_data_and_polynomials():
         "jcalc.cli", "jcalc.errors", "jcalc.integers", "jcalc.polynomial", "jcalc.root_data"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["jinv", "check", "--form", "E8", "--p", "2", "--j", "3,2,1,1"],
+    ["motive", "decompose", "--form", "F4", "--p", "2", "--j", "1"],
+], ids=" ".join)
+def test_jinv_and_motive_verbs_leave_the_truncated_ring_unloaded(argv):
+    loaded = loaded_after(run_verb(*argv, "--json"))
+    assert "jcalc.jinvariant" in loaded and "jcalc.truncated_ring" not in loaded
+
+
 def test_table_dump_leaves_the_matrix_lab_unloaded():
     loaded = loaded_after(run_verb("table", "dump", "--form", "G2", "--json"))
     assert "jcalc.kac_table" in loaded and "jcalc.idempotent_lab" not in loaded
@@ -204,7 +213,7 @@ def test_no_verb_loads_the_sweep():
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from jcalc import *", namespace)
-    assert len(jcalc.__all__) == 72
+    assert len(jcalc.__all__) == 69
     assert [name for name in jcalc.__all__ if name not in namespace] == []
 
 

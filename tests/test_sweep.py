@@ -22,8 +22,8 @@ import pytest
 
 import jcalc.sweep
 from jcalc.errors import NegativeCoefficient, NotDivisible, SearchBudgetExceeded
-from jcalc.jinvariant import enumerate_admissible
-from jcalc.kac_table import GroupForm, table_rows, torsion_data
+from jcalc.jinvariant import JInvariant, enumerate_admissible
+from jcalc.kac_table import GroupForm, parse_form, table_rows, torsion_data
 from jcalc.motive import summand_degrees, twist_multiplicities
 from jcalc.polynomial import Poly, cyclotomic, cyclotomic_exponents
 from jcalc.root_data import (DynkinType, flag_degrees, poincare_homogeneous, theta_components,
@@ -307,3 +307,12 @@ def test_sweep_budget_counts_at_least_the_exceptional_rank(monkeypatch):
         run_divisibility_sweep(1)
     monkeypatch.setattr(jcalc.sweep, "_SEARCH_BUDGET", 2 ** 8)
     assert run_divisibility_sweep(1).ok
+
+
+def test_split_thetas_refuse_a_rank_over_budget_before_the_first():
+    form = parse_form("A30ad")
+    J = JInvariant(torsion_data(form, 31), (1,))
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match=r"rank 30 .* 1073741824 .*budget 4194304"):
+        list(consistent_split_thetas(form, 31, J))
+    assert time.perf_counter() - start < 1.0

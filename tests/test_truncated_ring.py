@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jcalc.errors import ContextMismatch, ParseError, SearchBudgetExceeded
+from jcalc.integers import lucas_binom
 from jcalc.kac_table import TorsionData
 from jcalc.truncated_ring import (
     RingElement,
     codim,
     deglex_key,
     j_from_generators,
-    lucas_binom,
     subring_closure,
 )
 
