@@ -39,6 +39,36 @@ def all_idempotents(modulus, size):
             yield m
 
 
+def old_prime_power_inverse(matrix):
+    """Gauss-Jordan over Z/p^e, where units are exactly non-residues of p."""
+    n, mod = matrix.size, matrix.modulus
+    p = prime_power(mod)[0]
+    work = [list(row) + [1 if i == j else 0 for j in range(n)]
+            for i, row in enumerate(matrix.entries)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if work[r][c] % p), None)
+        if pivot is None:
+            raise HypothesisViolated("matrix is not invertible mod %d" % mod)
+        work[c], work[pivot] = work[pivot], work[c]
+        inv = pow(work[c][c], -1, mod)
+        work[c] = [(x * inv) % mod for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c]:
+                coef = work[r][c]
+                work[r] = [(x - coef * y) % mod for x, y in zip(work[r], work[c])]
+    return ModMatrix(mod, tuple(tuple(row[n:]) for row in work))
+
+
+def old_mod_inverse(matrix):
+    """The inverse through the prime-power factors and CRT transport, an
+    oracle for the U^-1 built alongside U."""
+    if prime_power(matrix.modulus) is not None:
+        return old_prime_power_inverse(matrix)
+    splitting = crt_split(matrix.modulus)
+    return splitting.combine([old_prime_power_inverse(part)
+                              for part in splitting.split(matrix)])
+
+
 def old_random_unimodular(rng, modulus, size):
     """U alone, by row steps: the draws random_unimodular made before it
     built U^-1 alongside U."""
@@ -231,6 +261,22 @@ class TestModMatrix:
             ModMatrix.parse("1,2;3,4")
         with pytest.raises(ParseError):
             ModMatrix.parse("mod 6 size 3\n1,2;3,4")
+
+    def test_mod_inverse(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            u, u_inv = _unimodular_pair(rng, 12, 3)
+            assert u * u_inv == ModMatrix.identity(12, 3)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9, 25, 27, 6, 10, 12, 30, 36, 60, 210])
+    def test_mod_inverse_matches_prime_power_gauss_jordan(self, modulus):
+        rng = random.Random(modulus)
+        for trial in range(150):
+            size = trial % 5
+            u, u_inv = _unimodular_pair(rng, modulus, size)
+            expected = old_mod_inverse(u)
+            assert u_inv == expected
+            assert u * expected == ModMatrix.identity(modulus, size)
 
     @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9, 25, 27, 6, 10, 12, 30, 36, 60, 210])
     def test_unimodular_pair(self, modulus):

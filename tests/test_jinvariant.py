@@ -130,6 +130,16 @@ class TestEnumeration:
                     a = nxt[0]
 
 
+class TestSteenrodRule:
+    def test_e8_shape(self):
+        rules = constraint_rules(parse_form("E8"), 2)
+        rule = next(r for r in rules if r.kind == "le" and r.i == 1)  # j_1 <= j_2 + 1
+        assert (rule.i, rule.j, rule.offset) == (1, 2, 1)
+        assert str(rule) == "j1 <= j2 + 1"
+        assert rule_holds(rule, (3, 2, 1, 1), 2)
+        assert not rule_holds(rule, (3, 1, 1, 1), 2)
+
+
 class TestJson:
     def test_round_trip(self):
         value = J("E7sc", 2, (1, 1, 0))
