@@ -458,20 +458,12 @@ def _transvection_word(matrix: ModMatrix) -> List[Tuple[int, int, int]]:
         v = work[helper][c] % m
         apply(c, helper, (1 - work[c][c]) * pow(v, -1, m))
 
-    for c in range(size - 1):
+    for c in range(size):
         make_pivot_unit(c)
         make_pivot_one(c)
         for r in range(size):
             if r != c and work[r][c] % m:
                 apply(r, c, -work[r][c])
-    # the trailing pivot, if any, is forced to 1 by the determinant
-    last = size - 1
-    if size and work[last][last] % m != 1:
-        raise InternalInconsistency("trailing pivot is %d, determinant bookkeeping broken"
-                                    % work[last][last])
-    for r in range(last):
-        if work[r][last] % m:
-            apply(r, last, -work[r][last])
     if work != [list(row) for row in ModMatrix.identity(m, size).entries]:
         raise InternalInconsistency("elimination did not reach the identity")
     return ops

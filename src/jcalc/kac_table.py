@@ -201,7 +201,7 @@ class TorsionData:
     def r(self) -> int:
         return len(self.d)
 
-    @property
+    @functools.cached_property
     def caps(self) -> Tuple[int, ...]:
         """Truncation bounds p^{k_i}; exponent m_i ranges over 0..p^{k_i}-1."""
         return tuple(self.p ** ki for ki in self.k)

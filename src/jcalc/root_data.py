@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
 from .polynomial import Poly, cyclotomic_exponents, degree_ratio
@@ -139,62 +139,43 @@ def dynkin_edges(t: DynkinType) -> Tuple[Tuple[int, int, int], ...]:
     return tuple(edges)
 
 
-def _classify_tree(vertices: Sequence[int], edges: Sequence[Tuple[int, int, int]]) -> DynkinType:
-    """Identify the type of a connected subdiagram from its labeled tree shape."""
-    n = len(vertices)
-    if n == 1:
-        return DynkinType("A", 1)
-    adj = {v: [] for v in vertices}
-    maxmult = 1
-    for a, b, m in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-        maxmult = max(maxmult, m)
-    degrees = {v: len(adj[v]) for v in vertices}
-    if maxmult == 3:
-        return DynkinType("G", 2)
-    if maxmult == 2:
-        # Double-edge diagrams occurring inside B/C/F ambients are chains;
-        # a double edge at an end is B/C (equal degrees), in the middle F4.
-        (a, b, _m), = [e for e in edges if e[2] == 2]
-        if degrees[a] == 1 or degrees[b] == 1:
-            return DynkinType("B", n) if n >= 2 else DynkinType("A", 1)
-        if n == 4:
-            return DynkinType("F", 4)
-        raise InternalInconsistency("unrecognized doubly-laced subdiagram")
-    branch = [v for v in vertices if degrees[v] == 3]
-    if not branch:
-        return DynkinType("A", n)
-    if len(branch) > 1:
-        raise InternalInconsistency("more than one branch vertex in a subdiagram")
-    # Arm lengths from the unique degree-3 vertex determine D vs E.
-    center = branch[0]
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while degrees[cur] == 2:
-            nxt = [w for w in adj[cur] if w != prev][0]
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return DynkinType("D", n).normalized()
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return DynkinType("E", n)
-    raise InternalInconsistency("unrecognized simply-laced subdiagram")
+ThetaLike = Optional[Iterable[int]]
 
 
-def theta_components(t: DynkinType, theta: Iterable[int]) -> List[DynkinType]:
-    """Types of the connected components of the subdiagram spanned by theta."""
-    theta = frozenset(theta)
-    if not theta:
-        return []
-    edges = [e for e in dynkin_edges(t) if e[0] in theta and e[1] in theta]
+def _theta_set(t: DynkinType, theta: ThetaLike) -> FrozenSet[int]:
+    """theta as a vertex set of t; None (like the empty set) is the Borel."""
+    theta = frozenset(theta or ())
+    bad = sorted(v for v in theta if not 1 <= v <= t.rank)
+    if bad:
+        raise ValueError("vertices %s outside 1..%d" % (bad, t.rank))
+    return theta
+
+
+def _component_type(t: DynkinType, comp: AbstractSet[int]) -> DynkinType:
+    """Type of a connected vertex set comp of t, read off where it sits: a
+    chain unless it holds the multiple edge or the branch of t (C reads as B)."""
+    k, s, n = len(comp), t.series, t.rank
+    if s in "FG" and k == n:
+        return t
+    if k >= 2 and (s in "BC" and n in comp or s == "F" and {2, 3} <= comp):
+        return DynkinType("B", k)
+    if s == "D" and {n - 1, n} <= comp:
+        return DynkinType("D", k).normalized()
+    if s == "E" and {2, 3, 4, 5} <= comp:
+        return DynkinType("E" if 1 in comp and k >= 6 else "D", k)
+    return DynkinType("A", k)
+
+
+def theta_components(t: DynkinType, theta: ThetaLike) -> List[DynkinType]:
+    """Types of the connected components of theta, in order of least vertex,
+    each read off where it sits in t; a vertex outside 1..rank raises
+    ValueError and None is the Borel."""
+    theta = _theta_set(t, theta)
     adj = {v: set() for v in theta}
-    for a, b, _m in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    for a, b, _m in dynkin_edges(t):
+        if a in theta and b in theta:
+            adj[a].add(b)
+            adj[b].add(a)
     seen = set()
     components = []
     for v in sorted(theta):
@@ -208,29 +189,15 @@ def theta_components(t: DynkinType, theta: Iterable[int]) -> List[DynkinType]:
             comp.add(w)
             stack.extend(adj[w] - comp)
         seen |= comp
-        comp_edges = [e for e in edges if e[0] in comp]
-        components.append(_classify_tree(sorted(comp), comp_edges))
+        components.append(_component_type(t, comp))
     return components
-
-
-ThetaLike = Optional[Iterable[int]]
-
-
-def _theta_set(t: DynkinType, theta: ThetaLike) -> FrozenSet[int]:
-    """theta as a vertex set of t; None (like the empty set) is the Borel."""
-    theta = frozenset(theta or ())
-    bad = sorted(v for v in theta if not 1 <= v <= t.rank)
-    if bad:
-        raise ValueError("vertices %s outside 1..%d" % (bad, t.rank))
-    return theta
 
 
 def flag_degrees(t: DynkinType, theta: ThetaLike) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Degrees (num, den) with P(G/P_theta) = prod (1 - t^a) / prod (1 - t^b):
     the Weyl degrees over the Levi degrees (those of the components of
     theta, sorted) padded with 1 up to the rank."""
-    levi = sorted(d for comp in theta_components(t, _theta_set(t, theta))
-                  for d in weyl_degrees(comp))
+    levi = sorted(d for comp in theta_components(t, theta) for d in weyl_degrees(comp))
     return weyl_degrees(t), tuple(levi) + (1,) * (t.rank - len(levi))
 
 

@@ -24,8 +24,9 @@ Both polynomials are degree ratios prod (1 - t^a) / prod (1 - t^b)
 * Levi types by mask recurrence.  Once per Dynkin type, the components
   of each of the 2^rank parabolic masks are those of the mask without
   its top vertex, with that vertex joining the components adjacent to
-  it; each connected component is classified once.  Masks are grouped
-  by flag polynomial and counted per value.
+  it; each connected component is typed once, from where it sits in
+  the Dynkin diagram.  Masks are grouped by flag polynomial and counted
+  per value.
 * Verdicts once per sweep.  A verdict and its witness text depend only
   on the cyclotomic exponent vectors (need, have) of summand and flag
   polynomial, so one dict keyed on them serves every row.  `divisions`
@@ -55,7 +56,7 @@ from .kac_table import GroupForm, table_rows, torsion_data
 from .motive import (_SEARCH_BUDGET, Degrees, _geometric_pairing, summand_degrees,
                      twist_multiplicities)
 from .polynomial import cyclotomic_exponents
-from .root_data import DynkinType, _split_vertices, dynkin_edges, theta_components, weyl_degrees
+from .root_data import DynkinType, _component_type, _split_vertices, dynkin_edges, weyl_degrees
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -134,7 +135,7 @@ def _flag_groups(t: DynkinType) -> List[Tuple[Degrees, Tuple[int, ...], List[int
 
     The components of a mask are those of the mask without its top vertex
     v, except that v joins every component adjacent to it.  Each connected
-    component is classified once."""
+    component is typed once, from where it sits in t."""
     adjacent = [0] * (t.rank + 1)
     for a, b, _m in dynkin_edges(t):
         adjacent[a] |= 1 << (b - 1)
@@ -153,8 +154,8 @@ def _flag_groups(t: DynkinType) -> List[Tuple[Degrees, Tuple[int, ...], List[int
             else:
                 comps.append(c)
         if joined not in levi:
-            comp, = theta_components(t, [w for w in t.vertices if joined >> (w - 1) & 1])
-            levi[joined] = weyl_degrees(comp)
+            levi[joined] = weyl_degrees(_component_type(
+                t, {w for w in t.vertices if joined >> (w - 1) & 1}))
         comps.append(joined)
         components.append(comps)
         den = sorted(d for c in comps for d in levi[c])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from jcalc.errors import (
     DeterminantNotOne,
     HypothesisViolated,
+    InternalInconsistency,
     InvalidInput,
     NotAFamily,
     NotAlmostIdempotent,
@@ -16,7 +18,9 @@ from jcalc.errors import (
 )
 from jcalc.idempotent_lab import (
     ModMatrix,
+    _crt,
     _idempotent_iteration,
+    _transvection_word,
     _unimodular_pair,
     crt_split,
     lift_idempotent,
@@ -27,7 +31,7 @@ from jcalc.idempotent_lab import (
     random_unimodular,
     sl_lift,
 )
-from jcalc.integers import prime_power
+from jcalc.integers import factorize, prime_power
 
 
 def all_idempotents(modulus, size):
@@ -95,6 +99,67 @@ def recursive_family_lift(family):
         return [e] + rec([rest_unit * x * rest_unit for x in members[1:]], rest_unit)
 
     return rec(list(family), ModMatrix.identity(family[0].modulus, family[0].size))
+
+
+def old_transvection_word(matrix):
+    """The elimination with the last column cleared in its own block,
+    which the one column loop replaced."""
+    m = matrix.modulus
+    size = matrix.size
+    work = [list(row) for row in matrix.entries]
+    ops = []
+
+    def apply(i, j, a):
+        a %= m
+        if a == 0 or i == j:
+            return
+        work[i] = [(x + a * y) % m for x, y in zip(work[i], work[j])]
+        ops.append((i, j, a))
+
+    factors = factorize(m)
+    primes = [p for p, _e in factors]
+
+    def make_pivot_unit(c):
+        needed = {}
+        for p in primes:
+            if work[c][c] % p == 0:
+                row = next((r for r in range(c + 1, size) if work[r][c] % p != 0), None)
+                if row is None:
+                    raise InternalInconsistency(
+                        "no unit combination in column %d despite det = 1" % c)
+                needed[p] = row
+        for row in set(needed.values()):
+            coeff = _crt([1 if needed.get(p) == row else 0 for p in primes],
+                         [p ** e for p, e in factors])
+            apply(c, row, coeff)
+
+    def make_pivot_one(c):
+        if work[c][c] % m == 1:
+            return
+        helper = next((r for r in range(c + 1, size) if math.gcd(work[r][c], m) == 1), None)
+        if helper is None:
+            helper = c + 1
+            u = work[c][c] % m
+            apply(helper, c, (1 - work[helper][c]) * pow(u, -1, m))
+        v = work[helper][c] % m
+        apply(c, helper, (1 - work[c][c]) * pow(v, -1, m))
+
+    for c in range(size - 1):
+        make_pivot_unit(c)
+        make_pivot_one(c)
+        for r in range(size):
+            if r != c and work[r][c] % m:
+                apply(r, c, -work[r][c])
+    last = size - 1
+    if size and work[last][last] % m != 1:
+        raise InternalInconsistency("trailing pivot is %d, determinant bookkeeping broken"
+                                    % work[last][last])
+    for r in range(last):
+        if work[r][last] % m:
+            apply(r, last, -work[r][last])
+    if work != [list(row) for row in ModMatrix.identity(m, size).entries]:
+        raise InternalInconsistency("elimination did not reach the identity")
+    return ops
 
 
 def triple_loop_product(a, b):
@@ -471,6 +536,22 @@ class TestSlLift:
     def test_size_zero(self):
         assert sl_lift(ModMatrix(5, ())) == ()
         assert sl_lift(ModMatrix.zero(12, 0)) == ()
+
+    def test_word_matches_the_trailing_pivot_block(self):
+        # random products of transvections, and dense det-1 draws that
+        # need the CRT pivot repair
+        rng = random.Random(27)
+        moduli = [2, 4, 6, 8, 12, 30, 36, 60, 90, 125, 210]
+        cases = [random_unimodular(rng, rng.choice(moduli), rng.randint(1, 6))
+                 for _ in range(600)]
+        while len(cases) < 900:
+            modulus, size = rng.choice(moduli), rng.randint(1, 4)
+            cand = ModMatrix(modulus, tuple(tuple(rng.randrange(modulus) for _ in range(size))
+                                            for _ in range(size)))
+            if cand.det() == 1 % modulus:
+                cases.append(cand)
+        for matrix in cases:
+            assert _transvection_word(matrix) == old_transvection_word(matrix), matrix
 
 
 def test_matrix_size_budget():

@@ -80,6 +80,13 @@ class TestTorsionData:
         assert torsion_data(parse_form("E7ad"), 2) == TorsionData(2, (1, 3, 5, 9), (1, 1, 1, 1))
         assert torsion_data(parse_form("G2"), 2) == TorsionData(2, (3,), (1,))
 
+    def test_caps_are_computed_once_outside_the_value(self):
+        data, twin = TorsionData(2, (3, 5, 9, 15), (3, 2, 1, 1)), torsion_data(parse_form("E8"), 2)
+        before = hash(data), repr(data)
+        assert data.caps == (8, 4, 2, 2) and data.caps is data.caps
+        assert (hash(data), repr(data)) == before and data == twin and hash(data) == hash(twin)
+        assert replace(data, k=(1, 1, 1, 1)).caps == (2, 2, 2, 2)
+
     def test_non_torsion_prime_gives_empty(self):
         assert torsion_data(parse_form("G2"), 5).r == 0
         assert torsion_data(parse_form("A2"), 2).r == 0

@@ -160,6 +160,94 @@ def test_theta_is_a_vertex_set(call):
     assert call(t, ()) == borel and call(t, set()) == borel
 
 
+def _classify_tree(vertices, edges):
+    """The type of a connected subdiagram from its labeled tree shape:
+    degrees, edge multiplicities, branch vertex and arm lengths."""
+    n = len(vertices)
+    if n == 1:
+        return DynkinType("A", 1)
+    adj = {v: [] for v in vertices}
+    maxmult = 1
+    for a, b, m in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        maxmult = max(maxmult, m)
+    degrees = {v: len(adj[v]) for v in vertices}
+    if maxmult == 3:
+        return DynkinType("G", 2)
+    if maxmult == 2:
+        (a, b, _m), = [e for e in edges if e[2] == 2]
+        if degrees[a] == 1 or degrees[b] == 1:
+            return DynkinType("B", n) if n >= 2 else DynkinType("A", 1)
+        assert n == 4, "unrecognized doubly-laced subdiagram"
+        return DynkinType("F", 4)
+    branch = [v for v in vertices if degrees[v] == 3]
+    if not branch:
+        return DynkinType("A", n)
+    center, = branch
+    arms = []
+    for start in adj[center]:
+        length, prev, cur = 1, center, start
+        while degrees[cur] == 2:
+            nxt = [w for w in adj[cur] if w != prev][0]
+            prev, cur = cur, nxt
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return DynkinType("D", n).normalized()
+    assert arms[:2] == [1, 2] and arms[2] in (2, 3, 4), "unrecognized simply-laced subdiagram"
+    return DynkinType("E", n)
+
+
+def old_theta_components(t, theta):
+    """Components of theta, each classified by its tree shape: the walk
+    that reading types off the ambient diagram replaced."""
+    theta = frozenset(theta)
+    edges = [e for e in dynkin_edges(t) if e[0] in theta and e[1] in theta]
+    adj = {v: set() for v in theta}
+    for a, b, _m in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, components = set(), []
+    for v in sorted(theta):
+        if v in seen:
+            continue
+        stack, comp = [v], set()
+        while stack:
+            w = stack.pop()
+            if w in comp:
+                continue
+            comp.add(w)
+            stack.extend(adj[w] - comp)
+        seen |= comp
+        components.append(_classify_tree(sorted(comp), [e for e in edges if e[0] in comp]))
+    return components
+
+
+def test_components_match_the_tree_classifier_on_every_subset():
+    subsets = 0
+    for t in _types(12):
+        for mask in range(1 << t.rank):
+            theta = {v for v in t.vertices if mask >> (v - 1) & 1}
+            want = [str(c) for c in old_theta_components(t, theta)]
+            assert [str(c) for c in theta_components(t, theta)] == want, (t, theta)
+            subsets += 1
+    assert subsets == 33222
+
+
+@pytest.mark.parametrize("t, theta", [(DynkinType("E", 8), {9}), (DynkinType("B", 3), {0, 3}),
+                                      (DynkinType("A", 2), [1, -1])])
+def test_components_reject_vertices_outside_the_diagram(t, theta):
+    with pytest.raises(ValueError, match="outside 1..%d" % t.rank):
+        theta_components(t, theta)
+
+
+def test_components_of_none_are_those_of_the_borel():
+    for t in _types():
+        assert theta_components(t, None) == theta_components(t, ()) == []
+
+
 class TestComponents:
     def test_path_components(self):
         t = DynkinType("A", 6)

@@ -3,9 +3,10 @@ loads each calculator only when it is used.
 
 A scan of the syntax tree of every module under src/jcalc: no true
 division `/`, no float literal, no call to `float`, no `import sympy` or
-`from sympy import ...`, and no attribute of `sympy`.  A process that
-imports the CLI must not load sympy, and `jcalc.motive` keeps the name
-`sympy` (a placeholder) that the bench tracer swaps a proxy in at.
+`from sympy import ...`, no attribute of `sympy`, and no module-level
+import that the module never reads.  A process that imports the CLI
+must not load sympy, and `jcalc.motive` keeps the name `sympy` (a
+placeholder) that the bench tracer swaps a proxy in at.
 
 Importing the package loads no calculator module, and the CLI imports
 at module level nothing of the package but `errors`, so fresh processes
@@ -70,6 +71,40 @@ def test_the_scan_sees_each_rule(snippet):
 def test_the_scan_passes_exact_code():
     snippet = "import os\nfrom . import polynomial\nx = a // b\ny = -7 % 3\nz = 10 ** 6"
     assert list(violations(ast.parse(snippet))) == []
+
+
+def unused_imports(tree):
+    """(line, name) for each name a module-level import binds that the
+    module never reads; `from __future__ import ...` is exempt."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_module_level_import_is_read(path):
+    assert list(unused_imports(ast.parse(path.read_text(), filename=str(path)))) == []
+
+
+@pytest.mark.parametrize("snippet", ["import os", "import os.path", "import numpy as np",
+                                     "from typing import List, Sequence\nx: List[int]",
+                                     "from .errors import ParseError\nParseError = 1"])
+def test_the_import_scan_sees_an_unused_name(snippet):
+    assert list(unused_imports(ast.parse(snippet))) != []
+
+
+def test_the_import_scan_passes_read_names():
+    snippet = ("from __future__ import annotations\nimport os.path\n"
+               "from typing import List as L\nimport math\n"
+               "def f(x: L[int]):\n    return os.path.join(math.pi)\n")
+    assert list(unused_imports(ast.parse(snippet))) == []
 
 
 def test_importing_the_cli_loads_no_sympy():
