@@ -3,9 +3,12 @@
 
 Runs a fixed list of argument vectors through ``jcalc.cli.execute``, in
 text mode and with ``--json``, and writes each call's exit status,
-stdout and stderr to tests/data/cli_corpus.json.  The replay test asserts that the
-current code prints the same bytes on both streams, so a refactor that is meant to keep
-behaviour can be checked against output recorded before it.
+stdout and stderr to tests/data/cli_corpus.json.  It also records the
+help of every parser and the usage error of every verb, at
+``COLUMNS=80`` because argparse wraps both to the terminal width.  The
+replay test asserts that the current code prints the same bytes on both
+streams, so a refactor that is meant to keep behaviour can be checked
+against output recorded before it.
 
     PYTHONPATH=src python scripts/record_cli_corpus.py
 
@@ -16,6 +19,7 @@ CHANGES.md.
 import contextlib
 import io
 import json
+import os
 import pathlib
 
 from jcalc.cli import execute
@@ -102,6 +106,21 @@ CALLS = [
     ["jinv", "enumerate", "--form", "E8"],
 ]
 
+GROUPS = {
+    "table": ["dump"],
+    "jinv": ["enumerate", "check"],
+    "ring": ["j-from-gens"],
+    "motive": ["rost-poincare", "decompose", "candim", "torsion-bound", "integral"],
+    "flag": ["poincare"],
+    "lift": ["idempotent", "family", "izvrat", "sl", "crt"],
+}
+# Recorded once each, as given: the help of every parser, then every verb
+# with no arguments (mostly the "required" usage error).
+USAGE_CALLS = ([["--help"]]
+               + [[group, "--help"] for group in GROUPS]
+               + [[group, verb, "--help"] for group, verbs in GROUPS.items() for verb in verbs]
+               + [[group, verb] for group, verbs in GROUPS.items() for verb in verbs])
+
 
 def record_one(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -111,10 +130,12 @@ def record_one(argv):
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
     corpus = []
     for argv in CALLS:
         corpus.append(record_one(list(argv)))
         corpus.append(record_one(list(argv) + ["--json"]))
+    corpus += [record_one(list(argv)) for argv in USAGE_CALLS]
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(corpus, indent=1) + "\n")
     print("recorded %d calls to %s" % (len(corpus), OUT))

@@ -3,10 +3,11 @@
 One verb per calculator: ``table dump``, ``jinv enumerate|check``,
 ``ring j-from-gens``, ``motive rost-poincare|decompose|candim|
 torsion-bound|integral``, ``flag poincare`` and ``lift idempotent|
-family|izvrat|sl|crt``.  Every verb prints human-readable text by default
-and exactly one JSON document with ``--json`` after the verb.  Each
-handler imports its calculator module itself, so a verb loads only the
-modules it runs.
+family|izvrat|sl|crt``.  Each verb is registered in one place, a single
+registrar call in ``build_parser`` that attaches ``--json`` and the
+handler.  Every verb prints human-readable text by default and exactly
+one JSON document with ``--json`` after the verb.  Each handler imports
+its calculator module itself, so a verb loads only the modules it runs.
 
 Exit status: 0 success, 1 domain error, 2 usage error.
 """
@@ -68,6 +69,10 @@ def _matrix_from_args(args):
     if args.matrix is None:
         raise ParseError("no matrix given; use --matrix or --in")
     return ModMatrix.parse(args.matrix, modulus=args.modulus)
+
+
+def _matrix_payload(matrix) -> dict:
+    return {"modulus": matrix.modulus, "entries": [list(r) for r in matrix.entries]}
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +197,14 @@ def _cmd_lift_idempotent(args) -> Tuple[object, List[str]]:
     from .idempotent_lab import lift_idempotent
     a = _matrix_from_args(args)
     e = lift_idempotent(a)
-    return {"modulus": e.modulus, "entries": [list(r) for r in e.entries]}, [e.to_text()]
+    return _matrix_payload(e), [e.to_text()]
 
 
 def _cmd_lift_family(args) -> Tuple[object, List[str]]:
     from .idempotent_lab import ModMatrix, lift_orthogonal_family
     mats = [ModMatrix.parse(text, modulus=args.modulus) for text in args.matrix]
     lifted = lift_orthogonal_family(mats)
-    payload = [{"modulus": e.modulus, "entries": [list(r) for r in e.entries]}
-               for e in lifted]
-    return payload, [e.to_text() for e in lifted]
+    return [_matrix_payload(e) for e in lifted], [e.to_text() for e in lifted]
 
 
 def _cmd_lift_izvrat(args) -> Tuple[object, List[str]]:
@@ -251,9 +254,7 @@ def _cmd_lift_crt(args) -> Tuple[object, List[str]]:
     if args.matrix:
         matrix = ModMatrix.parse(args.matrix, modulus=args.m)
         parts = splitting.split(matrix)
-        payload["parts"] = [{"modulus": part.modulus,
-                             "entries": [list(r) for r in part.entries]}
-                            for part in parts]
+        payload["parts"] = [_matrix_payload(part) for part in parts]
         lines += [part.to_text() for part in parts]
     return payload, lines
 
@@ -265,55 +266,50 @@ def _cmd_lift_crt(args) -> Tuple[object, List[str]]:
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
     parser = argparse.ArgumentParser(
-        prog="jcalc",
-        description="Exact J-invariant and motivic decomposition calculators.")
+        prog="jcalc", description="Exact J-invariant and motivic decomposition calculators.")
     parser.add_argument("--version", action="version", version="jcalc %s" % __version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit exactly one JSON document")
+    common.add_argument("--json", action="store_true", help="emit exactly one JSON document")
     ctx = argparse.ArgumentParser(add_help=False)
     ctx.add_argument("--p", type=int, required=True)
     ctx.add_argument("--d", type=_int_list, required=True, help="codimensions, e.g. 3,5")
     ctx.add_argument("--k", type=_int_list, required=True, help="exponents, e.g. 2,1")
     top = parser.add_subparsers(dest="group", required=True)
 
-    table = top.add_parser("table", help="torsion table queries").add_subparsers(
-        dest="verb", required=True)
-    dump = table.add_parser("dump", help="expanded table rows as {form,p,r,d,k,rules}", parents=[common])
+    def group(name, help):
+        verbs = top.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
+
+        def verb(name, help, handler, *extra):
+            sub = verbs.add_parser(name, help=help, parents=[common, *extra])
+            sub.set_defaults(handler=handler)
+            return sub
+        return verb
+
+    table = group("table", "torsion table queries")
+    dump = table("dump", "expanded table rows as {form,p,r,d,k,rules}", _cmd_table_dump)
     dump.add_argument("--form", help="restrict to one form, e.g. E7sc or Spin11")
     dump.add_argument("--p", type=int, help="restrict to one prime")
     dump.add_argument("--max-rank", type=int, default=8,
                       help="classical series rank bound (default 8)")
-    dump.set_defaults(handler=_cmd_table_dump)
 
-    jinv = top.add_parser("jinv", help="J-invariant values").add_subparsers(
-        dest="verb", required=True)
-    enum = jinv.add_parser("enumerate", help="all admissible values of a row", parents=[common])
+    jinv = group("jinv", "J-invariant values")
+    enum = jinv("enumerate", "all admissible values of a row", _cmd_jinv_enumerate)
     enum.add_argument("--form", required=True)
     enum.add_argument("--p", type=int, required=True)
-    enum.set_defaults(handler=_cmd_jinv_enumerate)
-    check = jinv.add_parser("check", help="test one value against the table rules", parents=[common])
+    check = jinv("check", "test one value against the table rules", _cmd_jinv_check)
     check.add_argument("--form", required=True)
     check.add_argument("--p", type=int, required=True)
     check.add_argument("--j", type=_int_list, required=True, help="comma list, e.g. 1,1,0")
-    check.set_defaults(handler=_cmd_jinv_check)
 
-    ring = top.add_parser("ring", help="truncated ring calculations").add_subparsers(
-        dest="verb", required=True)
-    jfg = ring.add_parser("j-from-gens",
-                          help="J-invariant of the subring generated by elements",
-                          parents=[common, ctx])
+    ring = group("ring", "truncated ring calculations")
+    jfg = ring("j-from-gens", "J-invariant of the subring generated by elements",
+               _cmd_ring_j_from_gens, ctx)
     jfg.add_argument("gens", nargs="*", help="elements like '1 + 2*x1^3*x2'")
-    jfg.set_defaults(handler=_cmd_ring_j_from_gens)
 
-    motive = top.add_parser("motive", help="decomposition calculators").add_subparsers(
-        dest="verb", required=True)
-    rost = motive.add_parser("rost-poincare", help="summand Poincare polynomial",
-                             parents=[common, ctx])
+    motive = group("motive", "decomposition calculators")
+    rost = motive("rost-poincare", "summand Poincare polynomial", _cmd_motive_rost, ctx)
     rost.add_argument("--j", type=_int_list, required=True)
-    rost.set_defaults(handler=_cmd_motive_rost)
-
-    dec = motive.add_parser("decompose", help="twist multiplicities of a flag variety", parents=[common])
+    dec = motive("decompose", "twist multiplicities of a flag variety", _cmd_motive_decompose)
     dec.add_argument("--form", required=True)
     dec.add_argument("--p", type=int, required=True)
     dec.add_argument("--j", type=_int_list, required=True)
@@ -322,49 +318,34 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--tits-index", type=int, dest="tits_index")
     dec.add_argument("--splitting-degree", type=int, dest="splitting_degree")
     dec.add_argument("--pfister", choices=("yes", "no"))
-    dec.set_defaults(handler=_cmd_motive_decompose)
-
-    candim = motive.add_parser("candim", help="canonical p-dimension", parents=[common, ctx])
+    candim = motive("candim", "canonical p-dimension", _cmd_motive_candim, ctx)
     candim.add_argument("--j", type=_int_list, required=True)
-    candim.set_defaults(handler=_cmd_motive_candim)
-
-    bound = motive.add_parser("torsion-bound", help="p-power bound for the torsion index", parents=[common])
-    bound.add_argument("--p", type=int, required=True)
-    bound.add_argument("--j", type=_int_list, required=True)
-    bound.add_argument("--d", type=_int_list, default="")
-    bound.add_argument("--k", type=_int_list, default="")
-    bound.set_defaults(handler=_cmd_motive_torsion_bound)
-
-    integral = motive.add_parser("integral", help="minimal m-positive divisor", parents=[common])
+    tb = motive("torsion-bound", "p-power bound for the torsion index", _cmd_motive_torsion_bound)
+    tb.add_argument("--p", type=int, required=True)
+    tb.add_argument("--j", type=_int_list, required=True)
+    tb.add_argument("--d", type=_int_list, default="")
+    tb.add_argument("--k", type=_int_list, default="")
+    integral = motive("integral", "minimal m-positive divisor", _cmd_motive_integral)
     integral.add_argument("--total", type=_poly, required=True, help="coefficients c0,c1,...")
     integral.add_argument("--m", type=int, required=True)
     integral.add_argument("--summand", type=_summand, action="append", required=True,
                           help="p:c0,c1,... (repeatable)")
-    integral.add_argument("--all", action="store_true",
-                          help="report every minimal candidate")
-    integral.set_defaults(handler=_cmd_motive_integral)
+    integral.add_argument("--all", action="store_true", help="report every minimal candidate")
 
-    flag = top.add_parser("flag", help="flag variety Poincare polynomials").add_subparsers(
-        dest="verb", required=True)
-    fp = flag.add_parser("poincare", help="P(G/P_theta, t)", parents=[common])
+    flag = group("flag", "flag variety Poincare polynomials")
+    fp = flag("poincare", "P(G/P_theta, t)", _cmd_flag_poincare)
     fp.add_argument("--type", required=True, help="Dynkin type, e.g. E8 or D5")
     fp.add_argument("--theta", type=_int_list, help="parabolic vertices, e.g. 1,3")
-    fp.set_defaults(handler=_cmd_flag_poincare)
 
-    lift = top.add_parser("lift", help="idempotent lab").add_subparsers(
-        dest="verb", required=True)
-    li = lift.add_parser("idempotent", help="lift an idempotent mod p to Z/p^n", parents=[common])
+    lift = group("lift", "idempotent lab")
+    li = lift("idempotent", "lift an idempotent mod p to Z/p^n", _cmd_lift_idempotent)
     li.add_argument("--matrix", help="rows ';'-separated, entries ','")
     li.add_argument("--modulus", type=int)
     li.add_argument("--in", dest="infile", help="headered matrix file, '-' for stdin")
-    li.set_defaults(handler=_cmd_lift_idempotent)
-
-    lf = lift.add_parser("family", help="lift an orthogonal idempotent family", parents=[common])
+    lf = lift("family", "lift an orthogonal idempotent family", _cmd_lift_family)
     lf.add_argument("--modulus", type=int, required=True)
     lf.add_argument("--matrix", action="append", required=True)
-    lf.set_defaults(handler=_cmd_lift_family)
-
-    lz = lift.add_parser("izvrat", help="lift mutually inverse isomorphisms", parents=[common])
+    lz = lift("izvrat", "lift mutually inverse isomorphisms", _cmd_lift_izvrat)
     lz.add_argument("--modulus", type=int, default=8)
     lz.add_argument("--phi1")
     lz.add_argument("--phi2")
@@ -374,22 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random planted instance instead of explicit matrices")
     lz.add_argument("--seed", type=int, default=0)
     lz.add_argument("--size", type=int, default=3)
-    lz.set_defaults(handler=_cmd_lift_izvrat)
-
-    ls = lift.add_parser("sl", help="integer lift of an SL_l(Z/m) matrix",
-                         parents=[common])
+    ls = lift("sl", "integer lift of an SL_l(Z/m) matrix", _cmd_lift_sl)
     ls.add_argument("--matrix")
     ls.add_argument("--modulus", type=int, default=6)
     ls.add_argument("--in", dest="infile")
     ls.add_argument("--demo", action="store_true")
     ls.add_argument("--seed", type=int, default=0)
     ls.add_argument("--size", type=int, default=2)
-    ls.set_defaults(handler=_cmd_lift_sl)
-
-    lc = lift.add_parser("crt", help="prime-power splitting of Z/m coefficients", parents=[common])
+    lc = lift("crt", "prime-power splitting of Z/m coefficients", _cmd_lift_crt)
     lc.add_argument("--m", type=int, required=True)
     lc.add_argument("--matrix", help="optional matrix to transport")
-    lc.set_defaults(handler=_cmd_lift_crt)
 
     return parser
 

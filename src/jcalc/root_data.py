@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalInconsistency, InvalidInput, UnsupportedForm
 from .polynomial import Poly, cyclotomic_exponents, degree_ratio
@@ -151,18 +151,39 @@ def _theta_set(t: DynkinType, theta: ThetaLike) -> FrozenSet[int]:
     return theta
 
 
-def _component_type(t: DynkinType, comp: AbstractSet[int]) -> DynkinType:
-    """Type of a connected vertex set comp of t, read off where it sits: a
+def _adjacency(t: DynkinType) -> List[int]:
+    """Neighbours of each vertex v of t as a bitmask at index v; vertex w is bit w - 1."""
+    adjacent = [0] * (t.rank + 1)
+    for a, b, _m in dynkin_edges(t):
+        adjacent[a] |= 1 << (b - 1)
+        adjacent[b] |= 1 << (a - 1)
+    return adjacent
+
+
+def _join(components: List[int], v: int, adjacent: List[int]) -> List[int]:
+    """Component masks once vertex v joins those adjacent to it; its own comes last."""
+    joined, rest = 1 << (v - 1), []
+    for c in components:
+        if c & adjacent[v]:
+            joined |= c
+        else:
+            rest.append(c)
+    rest.append(joined)
+    return rest
+
+
+def _component_type(t: DynkinType, comp: int) -> DynkinType:
+    """Type of a connected vertex mask comp of t, read off where it sits: a
     chain unless it holds the multiple edge or the branch of t (C reads as B)."""
-    k, s, n = len(comp), t.series, t.rank
+    k, s, n = comp.bit_count(), t.series, t.rank
     if s in "FG" and k == n:
         return t
-    if k >= 2 and (s in "BC" and n in comp or s == "F" and {2, 3} <= comp):
+    if k >= 2 and (s in "BC" and comp >> (n - 1) or s == "F" and comp & 0b110 == 0b110):
         return DynkinType("B", k)
-    if s == "D" and {n - 1, n} <= comp:
+    if s == "D" and comp >> (n - 2) == 0b11:
         return DynkinType("D", k).normalized()
-    if s == "E" and {2, 3, 4, 5} <= comp:
-        return DynkinType("E" if 1 in comp and k >= 6 else "D", k)
+    if s == "E" and comp & 0b11110 == 0b11110:
+        return DynkinType("E" if comp & 1 and k >= 6 else "D", k)
     return DynkinType("A", k)
 
 
@@ -170,27 +191,10 @@ def theta_components(t: DynkinType, theta: ThetaLike) -> List[DynkinType]:
     """Types of the connected components of theta, in order of least vertex,
     each read off where it sits in t; a vertex outside 1..rank raises
     ValueError and None is the Borel."""
-    theta = _theta_set(t, theta)
-    adj = {v: set() for v in theta}
-    for a, b, _m in dynkin_edges(t):
-        if a in theta and b in theta:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    components = []
-    for v in sorted(theta):
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            w = stack.pop()
-            if w in comp:
-                continue
-            comp.add(w)
-            stack.extend(adj[w] - comp)
-        seen |= comp
-        components.append(_component_type(t, comp))
-    return components
+    adjacent, components = _adjacency(t), []
+    for v in sorted(_theta_set(t, theta)):
+        components = _join(components, v, adjacent)
+    return [_component_type(t, c) for c in sorted(components, key=lambda c: c & -c)]
 
 
 def flag_degrees(t: DynkinType, theta: ThetaLike) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -56,7 +56,8 @@ from .kac_table import GroupForm, table_rows, torsion_data
 from .motive import (_SEARCH_BUDGET, Degrees, _geometric_pairing, summand_degrees,
                      twist_multiplicities)
 from .polynomial import cyclotomic_exponents
-from .root_data import DynkinType, _component_type, _split_vertices, dynkin_edges, weyl_degrees
+from .root_data import (DynkinType, _adjacency, _component_type, _join, _split_vertices,
+                        weyl_degrees)
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -133,13 +134,9 @@ def _flag_groups(t: DynkinType) -> List[Tuple[Degrees, Tuple[int, ...], List[int
     distinct flag polynomial of t, in order of first mask; vertex v is
     bit v - 1.
 
-    The components of a mask are those of the mask without its top vertex
-    v, except that v joins every component adjacent to it.  Each connected
-    component is typed once, from where it sits in t."""
-    adjacent = [0] * (t.rank + 1)
-    for a, b, _m in dynkin_edges(t):
-        adjacent[a] |= 1 << (b - 1)
-        adjacent[b] |= 1 << (a - 1)
+    The components of a mask are those of the mask without its top vertex,
+    joined by it; each connected component is typed once, from where it sits in t."""
+    adjacent = _adjacency(t)
     levi: Dict[int, Tuple[int, ...]] = {}     # connected vertex mask -> Weyl degrees
     components: List[List[int]] = [[]]        # indexed by mask
     num = weyl_degrees(t)
@@ -147,16 +144,9 @@ def _flag_groups(t: DynkinType) -> List[Tuple[Degrees, Tuple[int, ...], List[int
     by_total[num, (1,) * t.rank].append(0)
     for mask in range(1, 1 << t.rank):
         v = mask.bit_length()
-        joined, comps = 1 << (v - 1), []
-        for c in components[mask ^ joined]:
-            if c & adjacent[v]:
-                joined |= c
-            else:
-                comps.append(c)
-        if joined not in levi:
-            levi[joined] = weyl_degrees(_component_type(
-                t, {w for w in t.vertices if joined >> (w - 1) & 1}))
-        comps.append(joined)
+        comps = _join(components[mask ^ (1 << (v - 1))], v, adjacent)
+        if comps[-1] not in levi:
+            levi[comps[-1]] = weyl_degrees(_component_type(t, comps[-1]))
         components.append(comps)
         den = sorted(d for c in comps for d in levi[c])
         by_total[num, tuple(den) + (1,) * (t.rank - len(den))].append(mask)

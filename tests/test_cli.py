@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -177,16 +178,18 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
 
     def test_help_everywhere(self, capsys):
-        verbs = [
-            ["table", "dump"], ["jinv", "enumerate"], ["jinv", "check"],
-            ["ring", "j-from-gens"], ["motive", "rost-poincare"],
-            ["motive", "decompose"], ["motive", "candim"],
-            ["motive", "torsion-bound"], ["motive", "integral"],
-            ["flag", "poincare"], ["lift", "idempotent"], ["lift", "family"],
-            ["lift", "izvrat"], ["lift", "sl"], ["lift", "crt"],
-        ]
-        for verb in verbs:
-            status, out, _err = run(capsys, *verb, "--help")
+        def subcommands(parser):
+            return next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        verbs = [(group, verb, verb_parser)
+                 for group, group_parser in subcommands(build_parser()).items()
+                 for verb, verb_parser in subcommands(group_parser).items()]
+        assert len(verbs) == 15
+        for group, verb, verb_parser in verbs:
+            assert any("--json" in action.option_strings for action in verb_parser._actions)
+            assert callable(verb_parser.get_default("handler")), (group, verb)
+            status, out, _err = run(capsys, group, verb, "--help")
             assert status == 0 and "usage" in out
 
 
@@ -542,13 +545,14 @@ def test_readme_commands_run(capsys):
 CORPUS = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"
 
 
-def test_recorded_corpus_replays_byte_identically(capsys):
+def test_recorded_corpus_replays_byte_identically(capsys, monkeypatch):
     """Output recorded by scripts/record_cli_corpus.py must not drift."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal
     corpus = json.loads(CORPUS.read_text())
     drift = []
     for entry in corpus:
         got = run(capsys, *entry["argv"])
         if got != (entry["status"], entry["stdout"], entry["stderr"]):
             drift.append(" ".join(entry["argv"]))
-    assert len(corpus) == 112
+    assert len(corpus) == 149
     assert drift == []
